@@ -8,12 +8,18 @@ Two halves:
   stage and the saturation packet rate, and estimates queueing latency.
   The cross-validation tests assert simulator and analysis agree, which
   protects both against silent calibration drift.
-* :mod:`~repro.analysis.lint` — ``simlint``, the static-analysis pass
-  that enforces the simulator's determinism, DES-discipline and
-  simulated-concurrency contracts on every file (``repro lint``), with
-  suppression pragmas in :mod:`~repro.analysis.pragmas`. Imported
-  lazily: linting never loads the simulator and the simulator never
-  loads the linter.
+* :mod:`~repro.analysis.check` — ``repro check``, the one static
+  analyzer pipeline: it parses every file once and runs four rule
+  families over it — simlint (:mod:`~repro.analysis.lint`:
+  determinism, DES discipline, per-CPU races), simflow
+  (:mod:`~repro.analysis.flow`: skb typestate, time units), simorder
+  (:mod:`~repro.analysis.order`: partition invariance, causality,
+  flow-cache ordering) and simsan (:mod:`~repro.analysis.san`:
+  ownership and lifetimes) — with one set of suppression pragmas
+  (:mod:`~repro.analysis.pragmas`), one baseline ratchet
+  (:mod:`~repro.analysis.baseline`) and three static↔dynamic
+  cross-checks (``repro check --trace``). Not imported here, so the
+  simulator never loads the analyzers.
 """
 
 from repro.analysis.pipeline import (

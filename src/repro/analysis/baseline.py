@@ -1,4 +1,4 @@
-"""Findings-baseline ratchet for ``repro lint`` / ``repro flow``.
+"""Suppressed-findings baseline ratchet for ``repro check``.
 
 Mirrors the mypy overrides ratchet (``tools/mypy_ratchet.txt``): the
 checked-in baseline freezes the inventory of *suppressed* findings —
@@ -17,8 +17,9 @@ fail the run directly. The file format is one entry per line::
     path::RULE::count
 
 with ``#`` comments and blank lines ignored; paths use forward slashes
-relative to the repo root. Regenerate with
-``repro lint --write-baseline`` / ``repro flow --write-baseline``.
+relative to the repo root. One file, ``tools/findings_baseline.txt``,
+covers every rule family; regenerate it with
+``repro check src --write-baseline tools/findings_baseline.txt``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Tuple
 
-from repro.analysis.lint.report import LintResult
+from repro.analysis.core import CheckResult
 
 #: (normalized path, rule id) -> suppressed-finding count.
 Inventory = Dict[Tuple[str, str], int]
@@ -56,8 +57,8 @@ def normalize_path(path: str) -> str:
     return normalized
 
 
-def inventory_of(result: LintResult) -> Inventory:
-    """The suppressed-finding inventory of one lint/flow run."""
+def inventory_of(result: CheckResult) -> Inventory:
+    """The suppressed-finding inventory of one run."""
     inventory: Inventory = {}
     for finding in result.suppressed:
         key = (normalize_path(finding.path), finding.rule)
@@ -65,7 +66,7 @@ def inventory_of(result: LintResult) -> Inventory:
     return inventory
 
 
-def render_baseline(result: LintResult) -> str:
+def render_baseline(result: CheckResult) -> str:
     lines = [_HEADER.rstrip("\n")]
     for (path, rule), count in sorted(inventory_of(result).items()):
         lines.append(f"{path}::{rule}::{count}")
@@ -89,7 +90,7 @@ def parse_baseline(text: str, origin: str = "<baseline>") -> Inventory:
     return inventory
 
 
-def check_baseline(result: LintResult, baseline: Inventory) -> List[str]:
+def check_baseline(result: CheckResult, baseline: Inventory) -> List[str]:
     """Diff the run's suppression inventory against the frozen baseline.
 
     Returns human-readable violations; empty means the ratchet holds.

@@ -1,12 +1,14 @@
-"""Core machinery of the ``simlint`` static-analysis pass.
+"""Shared model of the static analyzers behind ``repro check``.
 
-The linter parses every file once into a :class:`FileContext` (AST +
-import-alias tables + pragmas + exemption spans), bundles them into a
-:class:`Project`, and hands the project to each :class:`Rule`. Rules are
-AST visitors in spirit but receive whole files so that a rule can
-correlate nodes (e.g. "a set iteration whose body schedules events");
-the race detector overrides :meth:`Rule.check_project` to see every file
-at once and build a cross-module call graph.
+The pipeline (:mod:`repro.analysis.check`) parses every file once into a
+:class:`FileContext` (AST + import-alias tables + pragmas + exemption
+spans), bundles them into a :class:`Project`, and hands the project to
+each :class:`Rule`. Rules are AST visitors in spirit but receive whole
+files so that a rule can correlate nodes (e.g. "a set iteration whose
+body schedules events"); the race detector overrides
+:meth:`Rule.check_project` to see every file at once and build a
+cross-module call graph, and the dataflow families share one
+project-wide :attr:`Rule.analysis` per family.
 
 Name resolution is deliberately conservative: a dotted call like
 ``np.random.default_rng(...)`` is only canonicalised to
@@ -19,8 +21,20 @@ keeps the rules free of the classic grep false positives.
 from __future__ import annotations
 
 import ast
+import json
+import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.analysis.pragmas import RULE_ID_RE, FilePragmas, parse_pragmas
 
@@ -43,7 +57,7 @@ SIMULATED_SCOPE: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Finding:
     """One rule violation at one source location."""
 
@@ -52,9 +66,6 @@ class Finding:
     col: int
     rule: str
     message: str
-
-    def sort_key(self) -> Tuple[str, int, int, str]:
-        return (self.path, self.line, self.col, self.rule)
 
 
 @dataclass
@@ -129,7 +140,7 @@ class FileContext:
         for decorator in node.decorator_list:
             if not isinstance(decorator, ast.Call):
                 continue
-            name = _last_segment(decorator.func)
+            name = last_segment(decorator.func)
             if name != "lint_exempt":
                 continue
             found = True
@@ -210,17 +221,31 @@ class FileContext:
 
 @dataclass
 class Project:
-    """Every file handed to one lint invocation."""
+    """Every file handed to one ``repro check`` run."""
 
     files: List[FileContext] = field(default_factory=list)
 
+    def functions(
+        self,
+    ) -> Iterator[Tuple[FileContext, "ast.FunctionDef | ast.AsyncFunctionDef"]]:
+        """Every function of every parsed file, in file order."""
+        for ctx in self.files:
+            for func in ctx.functions():
+                yield ctx, func
+
+
+#: A project-wide analysis reporting findings for every id of a family.
+Analysis = Callable[[Project], Iterable[Finding]]
+
 
 class Rule:
-    """Base class for lint rules.
+    """Base class for every analyzer rule.
 
     Subclasses set the class attributes and implement
     :meth:`check_file`; cross-module rules override
-    :meth:`check_project` instead.
+    :meth:`check_project` instead. Rules of a dataflow family return
+    the family's shared :attr:`analysis`, which the pipeline runs once
+    per project and filters by rule id and :meth:`applies_to`.
     """
 
     id: str = "LINT999"
@@ -250,6 +275,11 @@ class Rule:
             for prefix in self.scope
         )
 
+    @property
+    def analysis(self) -> Optional[Analysis]:
+        """The project-wide analysis this rule shares with its family."""
+        return None
+
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         return ()
 
@@ -269,17 +299,13 @@ class Rule:
         )
 
 
-def _last_segment(node: ast.AST) -> Optional[str]:
+def last_segment(node: ast.AST) -> Optional[str]:
     """The final identifier of a call target (``a.b.c`` -> ``c``)."""
     if isinstance(node, ast.Attribute):
         return node.attr
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def last_segment(node: ast.AST) -> Optional[str]:
-    return _last_segment(node)
 
 
 def walk_numeric_literals(node: ast.AST) -> Iterator[ast.Constant]:
@@ -301,6 +327,33 @@ def walk_numeric_literals(node: ast.AST) -> Iterator[ast.Constant]:
         ):
             yield sub
         stack.extend(ast.iter_child_nodes(sub))
+
+
+#: Directory names never descended into.
+_SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache", "results"}
+
+
+def iter_python_files(paths: Sequence[str]) -> List[str]:
+    """Expand files/directories into a sorted list of ``.py`` files."""
+    found: List[str] = []
+    for path in paths:
+        if os.path.isfile(path):
+            if path.endswith(".py"):
+                found.append(path)
+            continue
+        for dirpath, dirnames, filenames in os.walk(path):
+            dirnames[:] = sorted(
+                name for name in dirnames if name not in _SKIP_DIRS
+            )
+            for filename in sorted(filenames):
+                if filename.endswith(".py"):
+                    found.append(os.path.join(dirpath, filename))
+    return sorted(dict.fromkeys(found))
+
+
+def read_source(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
 def module_name_for(path: str) -> Optional[str]:
@@ -352,3 +405,139 @@ def meta_findings(ctx: FileContext, known_ids: Sequence[str]) -> Iterator[Findin
                     ctx.path, span.start, 0, META_RULE_ID,
                     f"lint_exempt names unknown rule id {rule_id!r}",
                 )
+
+
+@dataclass
+class TraceCheck:
+    """Verdict of one static↔dynamic cross-check (``repro check --trace``)."""
+
+    name: str
+    summary: str
+    #: Runtime behaviour the static model does not admit — failures.
+    errors: List[str] = field(default_factory=list)
+    #: Static model the runtime never exercised — informational.
+    warnings: List[str] = field(default_factory=list)
+    #: JSON-ready measurements behind the verdict.
+    facts: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.errors
+
+    def to_text(self) -> str:
+        lines = [f"{self.name}: {self.summary}"]
+        lines.extend(f"ERROR: {error}" for error in self.errors)
+        lines.extend(f"warning: {warning}" for warning in self.warnings)
+        lines.append(f"{self.name} {'OK' if self.ok else 'FAILED'}")
+        return "\n".join(lines)
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            **self.facts,
+            "name": self.name,
+            "ok": self.ok,
+            "summary": self.summary,
+            "errors": list(self.errors),
+            "warnings": list(self.warnings),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+
+@dataclass(frozen=True)
+class MypyGate:
+    """Outcome of the ratcheted mypy strict gate."""
+
+    ok: bool
+    skipped: bool
+    summary: str
+
+
+@dataclass
+class CheckResult:
+    """Outcome of one ``repro check`` run over the rules."""
+
+    findings: List[Finding] = field(default_factory=list)
+    files_checked: int = 0
+    rules_run: List[str] = field(default_factory=list)
+    #: Findings silenced by a pragma/exemption — kept (not dropped) so
+    #: the baseline ratchet can freeze the suppression inventory.
+    suppressed: List[Finding] = field(default_factory=list)
+    #: Drift against the committed baseline (both directions fail).
+    baseline_errors: List[str] = field(default_factory=list)
+    #: None when the run did not include the mypy gate.
+    mypy: Optional[MypyGate] = None
+
+    @property
+    def ok(self) -> bool:
+        return (
+            not self.findings
+            and not self.baseline_errors
+            and (self.mypy is None or self.mypy.ok)
+        )
+
+    def counts_by_rule(self) -> Dict[str, int]:
+        counts: Dict[str, int] = {}
+        for finding in self.findings:
+            counts[finding.rule] = counts.get(finding.rule, 0) + 1
+        return dict(sorted(counts.items()))
+
+    def to_text(self) -> str:
+        """``path:line:col: RULE message`` per finding plus summary lines."""
+        lines = [
+            f"{f.path}:{f.line}:{f.col + 1}: {f.rule} {f.message}"
+            for f in self.findings
+        ]
+        count = len(self.findings)
+        if count:
+            by_rule = ", ".join(
+                f"{rule}×{n}" for rule, n in self.counts_by_rule().items()
+            )
+            lines.append(
+                f"repro check: {count} finding{'s' if count != 1 else ''} "
+                f"in {self.files_checked} files ({by_rule})"
+            )
+        else:
+            lines.append(
+                f"repro check: {self.files_checked} files clean "
+                f"({len(self.rules_run)} rules, "
+                f"{len(self.suppressed)} suppressed)"
+            )
+        lines.extend(f"baseline: {error}" for error in self.baseline_errors)
+        if self.mypy is not None:
+            status = (
+                "skipped" if self.mypy.skipped
+                else "ok" if self.mypy.ok else "FAILED"
+            )
+            lines.append(f"mypy: {status} — {self.mypy.summary}")
+        lines.append("check OK" if self.ok else "check FAILED")
+        return "\n".join(lines)
+
+    def to_json(self) -> str:
+        """Stable machine-readable form (sorted keys, sorted findings)."""
+        payload = {
+            "ok": self.ok,
+            "files_checked": self.files_checked,
+            "rules_run": list(self.rules_run),
+            "counts_by_rule": self.counts_by_rule(),
+            "findings": [_finding_json(f) for f in self.findings],
+            "suppressed": [_finding_json(f) for f in self.suppressed],
+            "baseline_errors": list(self.baseline_errors),
+            "mypy": None if self.mypy is None else {
+                "ok": self.mypy.ok,
+                "skipped": self.mypy.skipped,
+                "summary": self.mypy.summary,
+            },
+        }
+        return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _finding_json(finding: Finding) -> Dict[str, object]:
+    return {
+        "path": finding.path,
+        "line": finding.line,
+        "col": finding.col + 1,
+        "rule": finding.rule,
+        "message": finding.message,
+    }

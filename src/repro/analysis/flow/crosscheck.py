@@ -1,4 +1,4 @@
-"""Static ↔ dynamic cross-check of the stage graph (``repro flow --trace``).
+"""Static ↔ dynamic cross-check of the stage graph (``repro check --trace``).
 
 The golden traces (``tests/goldens/*.json``, produced by
 :mod:`repro.validate.golden` from :class:`repro.metrics.tracing.PacketTracer`
@@ -23,76 +23,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
+from repro.analysis.core import TraceCheck
 from repro.analysis.flow.stagespec import ALLOC, FREE, HARDIRQ, stage_order_spec
-
-
-@dataclass
-class CrossCheckResult:
-    """Outcome of one trace replay against the static spec."""
-
-    trace_files: List[str] = field(default_factory=list)
-    traces_replayed: int = 0
-    #: Multi-packet traces (TCP segments / GRO / ACKs share one msg_id,
-    #: so their events interleave) — skipped, since consecutive-event
-    #: pairs across different packets are not edges.
-    traces_skipped: int = 0
-    events_replayed: int = 0
-    #: Edges seen at runtime, with the number of traces exercising each.
-    observed: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    #: Runtime edges the static graph does not contain (errors).
-    missing_static: List[Tuple[str, str]] = field(default_factory=list)
-    #: Static edges no golden trace exercised (warnings).
-    unobserved_static: List[Tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing_static
-
-    def to_json(self) -> str:
-        payload = {
-            "ok": self.ok,
-            "trace_files": [os.path.basename(p) for p in self.trace_files],
-            "traces_replayed": self.traces_replayed,
-            "traces_skipped_multi_packet": self.traces_skipped,
-            "events_replayed": self.events_replayed,
-            "observed_edges": {
-                f"{a}->{b}": count
-                for (a, b), count in sorted(self.observed.items())
-            },
-            "missing_from_static_graph": [
-                f"{a}->{b}" for a, b in self.missing_static
-            ],
-            "static_edges_unobserved": [
-                f"{a}->{b}" for a, b in self.unobserved_static
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    def to_text(self) -> str:
-        lines = [
-            f"simflow cross-check: {self.traces_replayed} traces "
-            f"({self.events_replayed} events) from "
-            f"{len(self.trace_files)} golden files, "
-            f"{len(self.observed)} distinct stage edges observed, "
-            f"{self.traces_skipped} multi-packet traces skipped"
-        ]
-        for a, b in self.missing_static:
-            lines.append(
-                f"ERROR: runtime edge {a}->{b} is missing from the static "
-                "stage graph — the derived spec no longer matches reality"
-            )
-        for a, b in self.unobserved_static:
-            lines.append(
-                f"warning: static edge {a}->{b} never observed in any "
-                "golden trace (dead modelling or missing trace coverage)"
-            )
-        lines.append(
-            "cross-check OK" if self.ok else "cross-check FAILED"
-        )
-        return "\n".join(lines)
 
 
 def default_trace_dir() -> str:
@@ -138,39 +72,78 @@ def _trace_edges(events: Sequence[Sequence[object]]) -> Set[Tuple[str, str]]:
     return edges
 
 
-def cross_check(paths: Sequence[str] = ()) -> CrossCheckResult:
-    """Replay golden traces and diff their edges against the static spec."""
-    trace_files = list(paths)
-    if not trace_files:
-        golden_dir = default_trace_dir()
-        trace_files = sorted(
-            os.path.join(golden_dir, name)
-            for name in os.listdir(golden_dir)
-            if name.endswith(".json")
-        )
-    result = CrossCheckResult(trace_files=trace_files)
+def golden_files(paths: Sequence[str] = ()) -> List[str]:
+    """``paths``, or every golden trace file when none are given."""
+    if paths:
+        return list(paths)
+    golden_dir = default_trace_dir()
+    return sorted(
+        os.path.join(golden_dir, name)
+        for name in os.listdir(golden_dir)
+        if name.endswith(".json")
+    )
+
+
+def _edge(edge: Tuple[str, str]) -> str:
+    return f"{edge[0]}->{edge[1]}"
+
+
+def cross_check(paths: Sequence[str] = ()) -> TraceCheck:
+    """Replay golden traces and diff their edges against the static spec.
+
+    Multi-packet traces (TCP segments / GRO / ACKs share one msg_id, so
+    their events interleave) are skipped, since consecutive-event pairs
+    across different packets are not edges.
+    """
+    trace_files = golden_files(paths)
+    observed: Dict[Tuple[str, str], int] = {}
+    replayed = skipped = events_replayed = 0
     for path in trace_files:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
         for trace in doc.get("traces", ()):
             events = trace.get("events", ())
             if not _single_packet(events):
-                result.traces_skipped += 1
+                skipped += 1
                 continue
-            result.traces_replayed += 1
-            result.events_replayed += len(events)
+            replayed += 1
+            events_replayed += len(events)
             for edge in _trace_edges(events):
-                result.observed[edge] = result.observed.get(edge, 0) + 1
+                observed[edge] = observed.get(edge, 0) + 1
 
     spec = stage_order_spec()
     synthetic = {ALLOC, HARDIRQ, FREE}
     comparable = {
         edge for edge in spec.edges if not (set(edge) & synthetic)
     }
-    result.missing_static = sorted(
-        edge for edge in result.observed if edge not in comparable
+    missing = sorted(edge for edge in observed if edge not in comparable)
+    unobserved = sorted(edge for edge in comparable if edge not in observed)
+    return TraceCheck(
+        name="stage-edge cross-check",
+        summary=(
+            f"{replayed} traces ({events_replayed} events) from "
+            f"{len(trace_files)} golden files, {len(observed)} distinct "
+            f"stage edges observed, {skipped} multi-packet traces skipped"
+        ),
+        errors=[
+            f"runtime edge {_edge(edge)} is missing from the static stage "
+            "graph — the derived spec no longer matches reality"
+            for edge in missing
+        ],
+        warnings=[
+            f"static edge {_edge(edge)} never observed in any golden trace "
+            "(dead modelling or missing trace coverage)"
+            for edge in unobserved
+        ],
+        facts={
+            "trace_files": [os.path.basename(p) for p in trace_files],
+            "traces_replayed": replayed,
+            "traces_skipped_multi_packet": skipped,
+            "events_replayed": events_replayed,
+            "observed_edges": {
+                _edge(edge): count for edge, count in sorted(observed.items())
+            },
+            "missing_from_static_graph": [_edge(edge) for edge in missing],
+            "static_edges_unobserved": [_edge(edge) for edge in unobserved],
+        },
     )
-    result.unobserved_static = sorted(
-        edge for edge in comparable if edge not in result.observed
-    )
-    return result

@@ -14,15 +14,28 @@ returns the stable block-entry states. Clients make a final reporting
 pass over each block with :func:`walk_block`, observing the state
 *before* every statement — findings are only collected once the states
 have converged, so a partially-propagated state can never produce a
-phantom report.
+phantom report. :func:`report_function` packages that silent-fixpoint
+then reporting-walk sequence for the rule families.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Iterator, List, Protocol, Tuple, TypeVar
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generic,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    TypeVar,
+)
 
 import ast
 
+from repro.analysis.core import Finding
 from repro.analysis.flow.cfg import Cfg
 
 S = TypeVar("S")
@@ -100,6 +113,25 @@ def walk_block(
         for stmt in block.stmts:
             observe(stmt, state)
             state = analysis.transfer(stmt, state)
+
+
+def report_function(
+    cfg: Cfg,
+    analysis_for: Callable[[Optional[List[Finding]]], DataflowAnalysis[Any]],
+    report: List[Finding],
+) -> Dict[int, Any]:
+    """Run the fixpoint silently, then one reporting walk into ``report``.
+
+    ``analysis_for(None)`` must build a silent analysis and
+    ``analysis_for(report)`` one that appends its findings. Only the
+    post-convergence walk reports, so a partially-propagated state can
+    never leave a phantom finding behind (the must-violation guarantee
+    of every dataflow rule depends on this). Returns the converged
+    block-entry states.
+    """
+    states = fixpoint(cfg, analysis_for(None))
+    walk_block(cfg, states, analysis_for(report), lambda stmt, state: None)
+    return states
 
 
 class SetLattice(Generic[S]):

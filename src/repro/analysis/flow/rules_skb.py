@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.analysis.core import Analysis, FileContext, Finding, Project, Rule
 from repro.analysis.flow.cfg import Cfg, build_cfg
-from repro.analysis.flow.engine import call_sites, fixpoint, walk_block
+from repro.analysis.flow.engine import call_sites, fixpoint, report_function
 from repro.analysis.flow.stagespec import (
     KIND_ALLOC,
     KIND_DELIVER,
@@ -42,7 +43,6 @@ from repro.analysis.flow.stagespec import (
     StageOrderSpec,
     stage_order_spec,
 )
-from repro.analysis.lint.core import FileContext, Finding, Project, Rule
 
 #: Abstract state: variable name -> set of possible pipeline ranks.
 State = Dict[str, FrozenSet[int]]
@@ -73,15 +73,6 @@ def _is_skb_name(name: str, annotation: Optional[ast.expr] = None) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class _RawFinding:
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-
-
 @dataclass
 class _Summary:
     """Exit typestate of one function's skb parameters."""
@@ -99,7 +90,7 @@ class _FunctionAnalysis:
         func: "ast.FunctionDef | ast.AsyncFunctionDef",
         spec: StageOrderSpec,
         summaries: Dict[str, List[_Summary]],
-        report: Optional[List[_RawFinding]] = None,
+        report: Optional[List[Finding]] = None,
     ) -> None:
         self.ctx = ctx
         self.func = func
@@ -310,7 +301,7 @@ class _FunctionAnalysis:
         if self.report is None:
             return
         self.report.append(
-            _RawFinding(
+            Finding(
                 path=self.ctx.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
@@ -344,18 +335,6 @@ def _function_counts_drops(func: "ast.FunctionDef | ast.AsyncFunctionDef") -> bo
 # ----------------------------------------------------------------------
 # Project-level driver (shared by the four FLOW rules)
 # ----------------------------------------------------------------------
-def _project_functions(
-    project: Project,
-) -> List[Tuple[FileContext, "ast.FunctionDef | ast.AsyncFunctionDef"]]:
-    pairs = []
-    for ctx in project.files:
-        if ctx.tree is None:
-            continue
-        for func in ctx.functions():
-            pairs.append((ctx, func))
-    return pairs
-
-
 def _compute_summaries(
     pairs: List[Tuple[FileContext, "ast.FunctionDef | ast.AsyncFunctionDef"]],
     spec: StageOrderSpec,
@@ -397,53 +376,25 @@ def _stable(
     return True
 
 
-#: Per-project memo so the four FLOW rules run the analysis once.
-_FINDINGS_CACHE: Dict[int, List[_RawFinding]] = {}
-
-
-def typestate_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached
+def typestate_findings(project: Project) -> List[Finding]:
+    """FLOW401-404 over every function of ``project``."""
     spec = stage_order_spec()
-    pairs = _project_functions(project)
+    pairs = list(project.functions())
     summaries = _compute_summaries(pairs, spec)
-    report: List[_RawFinding] = []
+    report: List[Finding] = []
     for ctx, func in pairs:
-        cfg = build_cfg(func)
-        # Fixpoint runs silent; only the post-convergence walk reports,
-        # so a partially-propagated state can never leave a phantom
-        # finding behind (the must-violation guarantee depends on this).
-        silent = _FunctionAnalysis(ctx, func, spec, summaries, report=None)
-        states = fixpoint(cfg, silent)
-        reporter = _FunctionAnalysis(ctx, func, spec, summaries, report=report)
-        walk_block(cfg, states, reporter, lambda stmt, state: None)
-    # A statement may sit in several blocks' views (loop headers); dedupe.
-    unique = sorted(set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
-    _FINDINGS_CACHE.clear()  # bound memory: one project at a time
-    _FINDINGS_CACHE[key] = unique
-    return unique
+        report_function(
+            build_cfg(func),
+            lambda sink: _FunctionAnalysis(ctx, func, spec, summaries, sink),
+            report,
+        )
+    return report
 
 
 class _FlowRuleBase(Rule):
-    scope = None  # all linted files; the in-tree sources must stay clean
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in typestate_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
+    @property
+    def analysis(self) -> Analysis:
+        return typestate_findings
 
 
 class StageOrderRule(_FlowRuleBase):

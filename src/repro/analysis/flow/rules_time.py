@@ -34,12 +34,11 @@ never produce noise.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.analysis.core import Analysis, FileContext, Finding, Project, Rule
 from repro.analysis.flow.cfg import Cfg, build_cfg
-from repro.analysis.flow.engine import fixpoint, walk_block
-from repro.analysis.lint.core import FileContext, Finding, Project, Rule
+from repro.analysis.flow.engine import report_function
 
 #: Abstract state: variable name -> set of unit/taint tags.
 State = Dict[str, FrozenSet[str]]
@@ -92,15 +91,6 @@ def suffix_unit(name: str) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class _RawFinding:
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-
-
 class _UnitAnalysis:
     """Forward taint/unit propagation over one function's CFG."""
 
@@ -108,7 +98,7 @@ class _UnitAnalysis:
         self,
         ctx: FileContext,
         func: "ast.FunctionDef | ast.AsyncFunctionDef",
-        report: Optional[List[_RawFinding]] = None,
+        report: Optional[List[Finding]] = None,
     ) -> None:
         self.ctx = ctx
         self.func = func
@@ -308,7 +298,7 @@ class _UnitAnalysis:
         if self.report is None:
             return
         self.report.append(
-            _RawFinding(
+            Finding(
                 path=self.ctx.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
@@ -323,51 +313,22 @@ def _suffix_tags(name: str) -> FrozenSet[str]:
     return frozenset((unit,)) if unit is not None else EMPTY
 
 
-#: Per-project memo so both TIME rules run the analysis once.
-_FINDINGS_CACHE: Dict[int, List[_RawFinding]] = {}
-
-
-def unit_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    report: List[_RawFinding] = []
-    for ctx in project.files:
-        if ctx.tree is None:
-            continue
-        for func in ctx.functions():
-            cfg = build_cfg(func)
-            silent = _UnitAnalysis(ctx, func, report=None)
-            states = fixpoint(cfg, silent)
-            reporter = _UnitAnalysis(ctx, func, report=report)
-            walk_block(cfg, states, reporter, lambda stmt, state: None)
-    unique = sorted(
-        set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = unique
-    return unique
+def unit_findings(project: Project) -> List[Finding]:
+    """TIME501/TIME502 over every function of ``project``."""
+    report: List[Finding] = []
+    for ctx, func in project.functions():
+        report_function(
+            build_cfg(func),
+            lambda sink: _UnitAnalysis(ctx, func, report=sink),
+            report,
+        )
+    return report
 
 
 class _TimeRuleBase(Rule):
-    scope = None
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in unit_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
+    @property
+    def analysis(self) -> Analysis:
+        return unit_findings
 
 
 class MixedUnitArithmeticRule(_TimeRuleBase):

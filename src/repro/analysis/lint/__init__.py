@@ -1,4 +1,4 @@
-"""``simlint``: static enforcement of the simulator's core contracts.
+"""``simlint``: the syntactic rule family of ``repro check``.
 
 The static counterpart of :mod:`repro.validate` (PR 1): where the
 invariant monitors catch a determinism or serialization violation *when
@@ -20,22 +20,8 @@ RACE301    cross-core access to per-CPU structures must route through
 LINT000/1  malformed pragmas / unparseable files (always on)
 =========  =============================================================
 
-Run via ``repro lint <paths>`` or programmatically via
-:func:`lint_paths`. Suppression pragmas are documented in
-:mod:`repro.analysis.pragmas`.
+Part of the one analyzer pipeline: run it as ``repro check`` (or
+``--rule SIM101`` for one rule) or programmatically via
+:func:`repro.analysis.check.analyze`. Suppression pragmas are
+documented in :mod:`repro.analysis.pragmas`.
 """
-
-from repro.analysis.lint.core import Finding, Rule
-from repro.analysis.lint.report import LintResult, render_json, render_text
-from repro.analysis.lint.runner import ALL_RULES, lint_paths, rule_by_id
-
-__all__ = [
-    "ALL_RULES",
-    "Finding",
-    "LintResult",
-    "Rule",
-    "lint_paths",
-    "render_json",
-    "render_text",
-    "rule_by_id",
-]

@@ -16,9 +16,9 @@ files and time themselves.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional, Set, Tuple
+from typing import Iterable, Optional, Set, Tuple
 
-from repro.analysis.lint.core import (
+from repro.analysis.core import (
     SIMULATED_SCOPE,
     FileContext,
     Finding,

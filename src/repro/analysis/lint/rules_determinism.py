@@ -10,9 +10,9 @@ identity as an ordering key, and set iteration feeding the scheduler.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Set
 
-from repro.analysis.lint.core import (
+from repro.analysis.core import (
     FileContext,
     Finding,
     Rule,

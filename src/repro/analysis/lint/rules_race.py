@@ -51,7 +51,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.lint.core import (
+from repro.analysis.core import (
     FileContext,
     Finding,
     Project,

@@ -1,4 +1,4 @@
-"""Static ↔ dynamic ordering cross-check (``repro order --trace``).
+"""Static ↔ dynamic ordering cross-check (``repro check --trace``).
 
 The ORD rules reason about two dynamic properties: per-flow delivery
 order survives every datapath (the merge-key / flowcache-gate rules),
@@ -21,100 +21,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.flow.crosscheck import default_trace_dir
+from repro.analysis.core import TraceCheck
+from repro.analysis.flow.crosscheck import golden_files
 from repro.analysis.flow.stagespec import stage_order_spec
 
 #: The cached-datapath stage name FastPathTransition jumps through.
 FASTPATH_STAGE = "fastpath"
-
-#: (trace file basename, flow id, earlier msg, later msg, earlier
-#: delivery time, later delivery time) for each order inversion.
-Violation = Tuple[str, int, int, int, float, float]
-
-
-@dataclass
-class OrderCheckResult:
-    """Outcome of one golden-trace replay against the ordering model."""
-
-    trace_files: List[str] = field(default_factory=list)
-    flows_checked: int = 0
-    deliveries_checked: int = 0
-    #: Per-flow delivery-order inversions (errors).
-    violations: List[Violation] = field(default_factory=list)
-    #: Observed fastpath edges, with exercising-trace counts.
-    fastpath_observed: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    #: Observed fastpath edges absent from the static graph (errors).
-    fastpath_unknown: List[Tuple[str, str]] = field(default_factory=list)
-    #: Static fastpath edges no golden exercised (warnings).
-    fastpath_unobserved: List[Tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.fastpath_unknown
-
-    def to_json(self) -> str:
-        payload = {
-            "ok": self.ok,
-            "trace_files": [os.path.basename(p) for p in self.trace_files],
-            "flows_checked": self.flows_checked,
-            "deliveries_checked": self.deliveries_checked,
-            "delivery_order_violations": [
-                {
-                    "trace_file": name,
-                    "flow": flow,
-                    "earlier_msg": earlier,
-                    "later_msg": later,
-                    "earlier_time_us": earlier_time,
-                    "later_time_us": later_time,
-                }
-                for name, flow, earlier, later, earlier_time, later_time
-                in self.violations
-            ],
-            "fastpath_edges_observed": {
-                f"{a}->{b}": count
-                for (a, b), count in sorted(self.fastpath_observed.items())
-            },
-            "fastpath_edges_unknown_to_static_graph": [
-                f"{a}->{b}" for a, b in self.fastpath_unknown
-            ],
-            "fastpath_edges_unobserved": [
-                f"{a}->{b}" for a, b in self.fastpath_unobserved
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    def to_text(self) -> str:
-        lines = [
-            f"simorder cross-check: {self.flows_checked} flows "
-            f"({self.deliveries_checked} deliveries) from "
-            f"{len(self.trace_files)} golden files, "
-            f"{len(self.fastpath_observed)} distinct fastpath edges observed"
-        ]
-        for name, flow, earlier, later, earlier_t, later_t in self.violations:
-            lines.append(
-                f"ERROR: {name} flow {flow}: msg {later} delivered at "
-                f"{later_t}us before msg {earlier} at {earlier_t}us — "
-                "per-flow delivery order violated at runtime"
-            )
-        for a, b in self.fastpath_unknown:
-            lines.append(
-                f"ERROR: runtime fastpath edge {a}->{b} is missing from the "
-                "static stage graph — the cache wiring the ORD rules model "
-                "no longer matches reality"
-            )
-        for a, b in self.fastpath_unobserved:
-            lines.append(
-                f"warning: static fastpath edge {a}->{b} never observed in "
-                "any golden trace (missing cached-datapath coverage)"
-            )
-        lines.append(
-            "ordering cross-check OK" if self.ok else
-            "ordering cross-check FAILED"
-        )
-        return "\n".join(lines)
 
 
 def _delivery_time(events: Sequence[Sequence[object]]) -> Optional[float]:
@@ -143,17 +57,12 @@ def _fastpath_edges(
     return edges
 
 
-def order_cross_check(paths: Sequence[str] = ()) -> OrderCheckResult:
+def order_cross_check(paths: Sequence[str] = ()) -> TraceCheck:
     """Replay golden traces against the per-flow ordering model."""
-    trace_files = list(paths)
-    if not trace_files:
-        golden_dir = default_trace_dir()
-        trace_files = sorted(
-            os.path.join(golden_dir, name)
-            for name in os.listdir(golden_dir)
-            if name.endswith(".json")
-        )
-    result = OrderCheckResult(trace_files=trace_files)
+    trace_files = golden_files(paths)
+    violations: List[Dict[str, object]] = []
+    observed: Dict[Tuple[str, str], int] = {}
+    flows_checked = deliveries_checked = 0
     for path in trace_files:
         name = os.path.basename(path)
         with open(path, "r", encoding="utf-8") as handle:
@@ -162,9 +71,7 @@ def order_cross_check(paths: Sequence[str] = ()) -> OrderCheckResult:
         for trace in doc.get("traces", ()):
             events = trace.get("events", ())
             for edge in _fastpath_edges(events):
-                result.fastpath_observed[edge] = (
-                    result.fastpath_observed.get(edge, 0) + 1
-                )
+                observed[edge] = observed.get(edge, 0) + 1
             time = _delivery_time(events)
             if time is None:
                 continue
@@ -172,25 +79,61 @@ def order_cross_check(paths: Sequence[str] = ()) -> OrderCheckResult:
             msg = int(trace.get("msg", 0))
             deliveries.setdefault(flow, []).append((msg, time))
         for flow, entries in sorted(deliveries.items()):
-            result.flows_checked += 1
-            result.deliveries_checked += len(entries)
+            flows_checked += 1
+            deliveries_checked += len(entries)
             entries.sort()
             for (earlier, earlier_t), (later, later_t) in zip(
                 entries, entries[1:]
             ):
                 if later_t < earlier_t:
-                    result.violations.append(
-                        (name, flow, earlier, later, earlier_t, later_t)
-                    )
+                    violations.append({
+                        "trace_file": name,
+                        "flow": flow,
+                        "earlier_msg": earlier,
+                        "later_msg": later,
+                        "earlier_time_us": earlier_t,
+                        "later_time_us": later_t,
+                    })
 
     spec = stage_order_spec()
-    fastpath_static = {
-        edge for edge in spec.edges if FASTPATH_STAGE in edge
-    }
-    result.fastpath_unknown = sorted(
-        edge for edge in result.fastpath_observed if edge not in fastpath_static
+    static = {edge for edge in spec.edges if FASTPATH_STAGE in edge}
+    unknown = sorted(edge for edge in observed if edge not in static)
+    unobserved = sorted(edge for edge in static if edge not in observed)
+    return TraceCheck(
+        name="ordering cross-check",
+        summary=(
+            f"{flows_checked} flows ({deliveries_checked} deliveries) from "
+            f"{len(trace_files)} golden files, {len(observed)} distinct "
+            "fastpath edges observed"
+        ),
+        errors=[
+            f"{v['trace_file']} flow {v['flow']}: msg {v['later_msg']} "
+            f"delivered at {v['later_time_us']}us before msg "
+            f"{v['earlier_msg']} at {v['earlier_time_us']}us — per-flow "
+            "delivery order violated at runtime"
+            for v in violations
+        ] + [
+            f"runtime fastpath edge {a}->{b} is missing from the static "
+            "stage graph — the cache wiring the ORD rules model no longer "
+            "matches reality"
+            for a, b in unknown
+        ],
+        warnings=[
+            f"static fastpath edge {a}->{b} never observed in any golden "
+            "trace (missing cached-datapath coverage)"
+            for a, b in unobserved
+        ],
+        facts={
+            "trace_files": [os.path.basename(p) for p in trace_files],
+            "flows_checked": flows_checked,
+            "deliveries_checked": deliveries_checked,
+            "delivery_order_violations": violations,
+            "fastpath_edges_observed": {
+                f"{a}->{b}": count for (a, b), count in sorted(observed.items())
+            },
+            "fastpath_edges_unknown_to_static_graph": [
+                f"{a}->{b}" for a, b in unknown
+            ],
+            "fastpath_edges_unobserved": [f"{a}->{b}" for a, b in unobserved],
+        },
     )
-    result.fastpath_unobserved = sorted(
-        edge for edge in fastpath_static if edge not in result.fastpath_observed
-    )
-    return result

@@ -35,12 +35,11 @@ the same causality bound the TCP credits use).
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
+from repro.analysis.core import Analysis, FileContext, Finding, Project, Rule
 from repro.analysis.flow.cfg import Cfg, build_cfg
-from repro.analysis.flow.engine import call_sites, fixpoint, walk_block
-from repro.analysis.flow.rules_time import _RawFinding
-from repro.analysis.lint.core import FileContext, Finding, Project, Rule
+from repro.analysis.flow.engine import call_sites, report_function
 
 #: Must-state: names that provably hold a causality-bounded timestamp on
 #: every path reaching the statement.
@@ -88,7 +87,7 @@ class _BoundedAnalysis:
         self,
         ctx: FileContext,
         func: "ast.FunctionDef | ast.AsyncFunctionDef",
-        report: Optional[List[_RawFinding]] = None,
+        report: Optional[List[Finding]] = None,
     ) -> None:
         self.ctx = ctx
         self.func = func
@@ -172,7 +171,7 @@ class _BoundedAnalysis:
         if self.report is None:
             return
         self.report.append(
-            _RawFinding(
+            Finding(
                 path=self.ctx.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
@@ -193,26 +192,18 @@ def _enclosing_function_name(
     return None
 
 
-#: Per-project memo so all three ORD51x rules run the walks once.
-_FINDINGS_CACHE: Dict[int, List[_RawFinding]] = {}
-
-
-def causality_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    report: List[_RawFinding] = []
+def causality_findings(project: Project) -> List[Finding]:
+    report: List[Finding] = []
     for ctx in project.files:
         if ctx.tree is None:
             continue
         # ORD511: must-dataflow per function.
         for func in ctx.functions():
-            cfg = build_cfg(func)
-            silent = _BoundedAnalysis(ctx, func, report=None)
-            states = fixpoint(cfg, silent)
-            reporter = _BoundedAnalysis(ctx, func, report=report)
-            walk_block(cfg, states, reporter, lambda stmt, state: None)
+            report_function(
+                build_cfg(func),
+                lambda sink: _BoundedAnalysis(ctx, func, report=sink),
+                report,
+            )
         # ORD512/ORD513: syntactic walks over the whole file.
         for node in ast.walk(ctx.tree):
             if (
@@ -224,7 +215,7 @@ def causality_findings(project: Project) -> List[_RawFinding]:
                 )
             ):
                 report.append(
-                    _RawFinding(
+                    Finding(
                         path=ctx.path,
                         line=node.lineno,
                         col=node.col_offset,
@@ -252,7 +243,7 @@ def causality_findings(project: Project) -> List[_RawFinding]:
                 if enclosing in _SANCTIONED_CONSTRUCTORS:
                     continue
                 report.append(
-                    _RawFinding(
+                    Finding(
                         path=ctx.path,
                         line=node.lineno,
                         col=node.col_offset,
@@ -265,32 +256,15 @@ def causality_findings(project: Project) -> List[_RawFinding]:
                         ),
                     )
                 )
-    unique = sorted(
-        set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = unique
-    return unique
+    return report
 
 
 class _CausalityRuleBase(Rule):
     scope = ("repro.sim", "repro.overlay")
 
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in causality_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
+    @property
+    def analysis(self) -> Analysis:
+        return causality_findings
 
 
 class EmitBelowLookaheadRule(_CausalityRuleBase):

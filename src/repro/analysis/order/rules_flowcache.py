@@ -32,10 +32,10 @@ time instead of under a lucky workload.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.flow.rules_time import _RawFinding
-from repro.analysis.lint.core import (
+from repro.analysis.core import (
+    Analysis,
     FileContext,
     Finding,
     Project,
@@ -207,16 +207,8 @@ def _called_names(
     return names
 
 
-#: Per-project memo so all three ORD52x rules walk once.
-_FINDINGS_CACHE: Dict[int, List[_RawFinding]] = {}
-
-
-def flowcache_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    report: List[_RawFinding] = []
+def flowcache_findings(project: Project) -> List[Finding]:
+    report: List[Finding] = []
 
     # Name-level call graph for ORD523 reachability.
     defined: Dict[str, List[Tuple[FileContext, ast.AST]]] = {}
@@ -244,7 +236,7 @@ def flowcache_findings(project: Project) -> List[_RawFinding]:
                     and func.name not in _SANCTIONED_INSERTERS
                 ):
                     report.append(
-                        _RawFinding(
+                        Finding(
                             path=ctx.path,
                             line=node.lineno,
                             col=node.col_offset,
@@ -269,7 +261,7 @@ def flowcache_findings(project: Project) -> List[_RawFinding]:
                 hit_bump = _serves_hits(func)
                 if hit_bump is not None and not _mentions_inflight(func):
                     report.append(
-                        _RawFinding(
+                        Finding(
                             path=ctx.path,
                             line=hit_bump.lineno,
                             col=hit_bump.col_offset,
@@ -306,7 +298,7 @@ def flowcache_findings(project: Project) -> List[_RawFinding]:
                 continue
             for ctx, func in sites:
                 report.append(
-                    _RawFinding(
+                    Finding(
                         path=ctx.path,
                         line=func.lineno,
                         col=func.col_offset,
@@ -320,32 +312,15 @@ def flowcache_findings(project: Project) -> List[_RawFinding]:
                     )
                 )
 
-    unique = sorted(
-        set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = unique
-    return unique
+    return report
 
 
 class _FlowcacheRuleBase(Rule):
     scope = ("repro.kernel", "repro.overlay")
 
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in flowcache_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
+    @property
+    def analysis(self) -> Analysis:
+        return flowcache_findings
 
 
 class UngatedInsertRule(_FlowcacheRuleBase):

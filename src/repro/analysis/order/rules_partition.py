@@ -45,18 +45,18 @@ records it moves are validated by ``CrossShardEvent.from_wire``).
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.analysis.flow.cfg import Cfg, build_cfg
-from repro.analysis.flow.engine import fixpoint, walk_block
-from repro.analysis.flow.rules_time import _RawFinding
-from repro.analysis.lint.core import (
+from repro.analysis.core import (
     SIMULATED_SCOPE,
+    Analysis,
     FileContext,
     Finding,
     Project,
     Rule,
 )
+from repro.analysis.flow.cfg import Cfg, build_cfg
+from repro.analysis.flow.engine import report_function
 
 #: Abstract state: variable name -> taint tags (only ``PARTITION`` here,
 #: but kept set-valued to share the engine's join shape with rules_time).
@@ -119,7 +119,7 @@ class _PartitionAnalysis:
         self,
         ctx: FileContext,
         func: "ast.FunctionDef | ast.AsyncFunctionDef",
-        report: Optional[List[_RawFinding]] = None,
+        report: Optional[List[Finding]] = None,
     ) -> None:
         self.ctx = ctx
         self.func = func
@@ -344,7 +344,7 @@ class _PartitionAnalysis:
         if self.report is None:
             return
         self.report.append(
-            _RawFinding(
+            Finding(
                 path=self.ctx.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
@@ -354,31 +354,15 @@ class _PartitionAnalysis:
         )
 
 
-#: Per-project memo so all three ORD50x rules run the analysis once.
-_FINDINGS_CACHE: Dict[int, List[_RawFinding]] = {}
-
-
-def partition_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    report: List[_RawFinding] = []
-    for ctx in project.files:
-        if ctx.tree is None:
-            continue
-        for func in ctx.functions():
-            cfg = build_cfg(func)
-            silent = _PartitionAnalysis(ctx, func, report=None)
-            states = fixpoint(cfg, silent)
-            reporter = _PartitionAnalysis(ctx, func, report=report)
-            walk_block(cfg, states, reporter, lambda stmt, state: None)
-    unique = sorted(
-        set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = unique
-    return unique
+def partition_findings(project: Project) -> List[Finding]:
+    report: List[Finding] = []
+    for ctx, func in project.functions():
+        report_function(
+            build_cfg(func),
+            lambda sink: _PartitionAnalysis(ctx, func, report=sink),
+            report,
+        )
+    return report
 
 
 class _PartitionRuleBase(Rule):
@@ -388,21 +372,9 @@ class _PartitionRuleBase(Rule):
     #: simulation (records are re-validated by CrossShardEvent.from_wire).
     exempt = ("repro.sim.shard.transport",)
 
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in partition_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
+    @property
+    def analysis(self) -> Analysis:
+        return partition_findings
 
 
 class PartitionTimestampRule(_PartitionRuleBase):

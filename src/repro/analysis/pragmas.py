@@ -1,11 +1,11 @@
-"""Suppression pragmas for the ``simlint`` static-analysis pass.
+"""Suppression pragmas shared by every ``repro check`` rule.
 
-The linter (:mod:`repro.analysis.lint`) enforces the simulator's
-determinism / DES-discipline / simulated-concurrency contracts on every
-file. A handful of places legitimately step outside those contracts —
-the :class:`~repro.sim.rng.RngRegistry` has to construct the one
-``random.Random`` everyone else is banned from, and the experiment
-harness times *itself* with the wall clock. Those sites carry an
+The analyzers (:mod:`repro.analysis.check`) enforce the simulator's
+determinism, DES-discipline, dataflow, ordering and ownership contracts
+on every file. A handful of places legitimately step outside those
+contracts — the :class:`~repro.sim.rng.RngRegistry` has to construct
+the one ``random.Random`` everyone else is banned from, and the
+experiment harness times *itself* with the wall clock. Those sites carry an
 explicit, greppable exemption rather than a rule carve-out, so every
 escape hatch is visible in the diff that introduces it.
 
@@ -117,34 +117,26 @@ _NON_CODE_TOKENS = frozenset(
 )
 
 
-def _comments(source: str) -> List[Tuple[int, str]]:
-    """``(line, comment text)`` for every real comment token.
+def _scan(source: str) -> Tuple[List[Tuple[int, str]], Set[int]]:
+    """One tokenize pass: ``(line, text)`` of every real comment token,
+    and the line numbers (1-based) on which actual code starts.
 
     Tokenize-based so that ``simlint:`` appearing inside a string or a
-    docstring is never mistaken for a pragma. Files that fail to
-    tokenize yield no comments — they fail to parse too, and the linter
-    reports that separately (LINT001).
+    docstring is never mistaken for a pragma. A file that fails to
+    tokenize yields what was scanned before the error — it fails to
+    parse too, and the pipeline reports that separately (LINT001).
     """
-    found: List[Tuple[int, str]] = []
+    comments: List[Tuple[int, str]] = []
+    code_lines: Set[int] = set()
     try:
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type == tokenize.COMMENT:
-                found.append((token.start[0], token.string))
+                comments.append((token.start[0], token.string))
+            elif token.type not in _NON_CODE_TOKENS:
+                code_lines.add(token.start[0])
     except (tokenize.TokenError, IndentationError, SyntaxError):
         pass
-    return found
-
-
-def _code_lines(source: str) -> Set[int]:
-    """Line numbers (1-based) on which actual code starts."""
-    lines: Set[int] = set()
-    try:
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
-            if token.type not in _NON_CODE_TOKENS:
-                lines.add(token.start[0])
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        pass
-    return lines
+    return comments, code_lines
 
 
 def _binding_line(lineno: int, code_lines: Set[int]) -> "int | None":
@@ -167,8 +159,8 @@ def parse_pragmas(source: str) -> FilePragmas:
     of being silently dropped.
     """
     pragmas = FilePragmas()
-    code_lines = _code_lines(source)
-    for lineno, comment in _comments(source):
+    comments, code_lines = _scan(source)
+    for lineno, comment in comments:
         match = PRAGMA_RE.search(comment)
         if match is None:
             if "simlint:" in comment:

@@ -26,11 +26,10 @@ exactly once and be accounted exactly once.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.flow.rules_time import _RawFinding
-from repro.analysis.lint.core import (
-    FileContext,
+from repro.analysis.core import (
+    Analysis,
     Finding,
     Project,
     Rule,
@@ -209,16 +208,8 @@ def _class_removes_entries(cls: ast.ClassDef) -> bool:
     return False
 
 
-#: Per-project memo so all three OWN62x rules walk once.
-_FINDINGS_CACHE: Dict[int, List[_RawFinding]] = {}
-
-
-def cache_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    report: List[_RawFinding] = []
+def cache_findings(project: Project) -> List[Finding]:
+    report: List[Finding] = []
     for ctx in project.files:
         if ctx.tree is None:
             continue
@@ -228,7 +219,7 @@ def cache_findings(project: Project) -> List[_RawFinding]:
             if removals and not _accounts_removal(func):
                 for node in removals:
                     report.append(
-                        _RawFinding(
+                        Finding(
                             path=ctx.path,
                             line=getattr(node, "lineno", func.lineno),
                             col=getattr(node, "col_offset", 0),
@@ -244,7 +235,7 @@ def cache_findings(project: Project) -> List[_RawFinding]:
             # OWN622: same entry released twice on one straight path.
             for node in _sequential_double_releases(func):
                 report.append(
-                    _RawFinding(
+                    Finding(
                         path=ctx.path,
                         line=getattr(node, "lineno", func.lineno),
                         col=getattr(node, "col_offset", 0),
@@ -265,7 +256,7 @@ def cache_findings(project: Project) -> List[_RawFinding]:
             insert_site = _class_inserts_entries(node)
             if insert_site is not None and not _class_removes_entries(node):
                 report.append(
-                    _RawFinding(
+                    Finding(
                         path=ctx.path,
                         line=getattr(insert_site, "lineno", node.lineno),
                         col=getattr(insert_site, "col_offset", 0),
@@ -279,32 +270,15 @@ def cache_findings(project: Project) -> List[_RawFinding]:
                         ),
                     )
                 )
-    unique = sorted(
-        set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = unique
-    return unique
+    return report
 
 
 class _CacheRuleBase(Rule):
     scope = ("repro.kernel", "repro.overlay")
 
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in cache_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
+    @property
+    def analysis(self) -> Analysis:
+        return cache_findings
 
 
 class UnaccountedRemovalRule(_CacheRuleBase):

@@ -32,18 +32,18 @@ that drops a live owned object is a leak).
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.analysis.flow.cfg import Cfg, build_cfg
-from repro.analysis.flow.engine import call_sites, fixpoint, walk_block
-from repro.analysis.flow.rules_time import _RawFinding
-from repro.analysis.lint.core import (
+from repro.analysis.core import (
+    Analysis,
     FileContext,
     Finding,
     Project,
     Rule,
     last_segment,
 )
+from repro.analysis.flow.cfg import Cfg, build_cfg
+from repro.analysis.flow.engine import call_sites, report_function
 
 #: Abstract state: owning local -> set of ownership tokens. Tokens are
 #: ``live@<line>`` (owned here, acquired at that line), ``queued``
@@ -98,7 +98,7 @@ class _EventAnalysis:
         self,
         ctx: FileContext,
         func: "ast.FunctionDef | ast.AsyncFunctionDef",
-        report: Optional[List[_RawFinding]] = None,
+        report: Optional[List[Finding]] = None,
     ) -> None:
         self.ctx = ctx
         self.func = func
@@ -277,7 +277,7 @@ class _EventAnalysis:
         if self.report is None:
             return
         self.report.append(
-            _RawFinding(
+            Finding(
                 path=self.ctx.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
@@ -287,40 +287,21 @@ class _EventAnalysis:
         )
 
 
-#: Per-project memo so all three OWN60x rules walk once.
-_FINDINGS_CACHE: Dict[int, List[_RawFinding]] = {}
-
-
-def event_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    report: List[_RawFinding] = []
-    for ctx in project.files:
-        if ctx.tree is None:
-            continue
-        for func in ctx.functions():
-            cfg = build_cfg(func)
-            # Fixpoint runs silent; only the post-convergence walk
-            # reports (the must-violation guarantee depends on this).
-            silent = _EventAnalysis(ctx, func, report=None)
-            states = fixpoint(cfg, silent)
-            reporter = _EventAnalysis(ctx, func, report=report)
-            walk_block(cfg, states, reporter, lambda stmt, state: None)
-            exit_state = states.get(cfg.exit)
-            if exit_state:
-                _report_leaks(ctx, exit_state, report)
-    unique = sorted(
-        set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    _FINDINGS_CACHE.clear()  # bound memory: one project at a time
-    _FINDINGS_CACHE[key] = unique
-    return unique
+def event_findings(project: Project) -> List[Finding]:
+    report: List[Finding] = []
+    for ctx, func in project.functions():
+        cfg = build_cfg(func)
+        states = report_function(
+            cfg, lambda sink: _EventAnalysis(ctx, func, report=sink), report
+        )
+        exit_state = states.get(cfg.exit)
+        if exit_state:
+            _report_leaks(ctx, exit_state, report)
+    return report
 
 
 def _report_leaks(
-    ctx: FileContext, exit_state: State, report: List[_RawFinding]
+    ctx: FileContext, exit_state: State, report: List[Finding]
 ) -> None:
     for var in sorted(exit_state):
         for token in sorted(exit_state[var]):
@@ -329,7 +310,7 @@ def _report_leaks(
             line = int(token.split("@", 1)[1])
             label = var.split("#", 1)[0]
             report.append(
-                _RawFinding(
+                Finding(
                     path=ctx.path,
                     line=line,
                     col=0,
@@ -347,21 +328,9 @@ def _report_leaks(
 class _EventRuleBase(Rule):
     scope = None  # all analyzed files; the in-tree sources must stay clean
 
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in event_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
+    @property
+    def analysis(self) -> Analysis:
+        return event_findings
 
 
 class DoubleReleaseRule(_EventRuleBase):

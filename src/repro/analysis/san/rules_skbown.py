@@ -33,16 +33,16 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.flow.cfg import Cfg, build_cfg
-from repro.analysis.flow.engine import call_sites, fixpoint, walk_block
-from repro.analysis.flow.rules_time import _RawFinding
-from repro.analysis.lint.core import (
+from repro.analysis.core import (
+    Analysis,
     FileContext,
     Finding,
     Project,
     Rule,
     last_segment,
 )
+from repro.analysis.flow.cfg import Cfg, build_cfg
+from repro.analysis.flow.engine import call_sites, report_function
 
 #: Abstract state for OWN611/OWN612: skb local -> ownership tokens
 #: (``owned``, ``relinquished``, or ``retained@<line>`` after the skb
@@ -81,7 +81,7 @@ class _RelinquishAnalysis:
         self,
         ctx: FileContext,
         func: "ast.FunctionDef | ast.AsyncFunctionDef",
-        report: Optional[List[_RawFinding]] = None,
+        report: Optional[List[Finding]] = None,
     ) -> None:
         self.ctx = ctx
         self.func = func
@@ -235,7 +235,7 @@ class _RelinquishAnalysis:
         if self.report is None:
             return
         self.report.append(
-            _RawFinding(
+            Finding(
                 path=self.ctx.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
@@ -264,7 +264,7 @@ def _own_nodes(
 def _assume_findings(
     ctx: FileContext,
     func: "ast.FunctionDef | ast.AsyncFunctionDef",
-    report: List[_RawFinding],
+    report: List[Finding],
 ) -> None:
     """OWN613: a decode/from_wire boundary must construct, not share."""
     if not any(
@@ -291,7 +291,7 @@ def _assume_findings(
             )
             if shared:
                 report.append(
-                    _RawFinding(
+                    Finding(
                         path=ctx.path,
                         line=value.lineno,
                         col=value.col_offset,
@@ -307,52 +307,24 @@ def _assume_findings(
                 )
 
 
-#: Per-project memo so all three OWN61x rules walk once.
-_FINDINGS_CACHE: Dict[int, List[_RawFinding]] = {}
-
-
-def skbown_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    report: List[_RawFinding] = []
-    for ctx in project.files:
-        if ctx.tree is None:
-            continue
-        for func in ctx.functions():
-            cfg = build_cfg(func)
-            silent = _RelinquishAnalysis(ctx, func, report=None)
-            states = fixpoint(cfg, silent)
-            reporter = _RelinquishAnalysis(ctx, func, report=report)
-            walk_block(cfg, states, reporter, lambda stmt, state: None)
-            _assume_findings(ctx, func, report)
-    unique = sorted(
-        set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = unique
-    return unique
+def skbown_findings(project: Project) -> List[Finding]:
+    report: List[Finding] = []
+    for ctx, func in project.functions():
+        report_function(
+            build_cfg(func),
+            lambda sink: _RelinquishAnalysis(ctx, func, report=sink),
+            report,
+        )
+        _assume_findings(ctx, func, report)
+    return report
 
 
 class _SkbOwnRuleBase(Rule):
     scope = None  # all analyzed files; the in-tree sources must stay clean
 
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in skbown_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
+    @property
+    def analysis(self) -> Analysis:
+        return skbown_findings
 
 
 class UseAfterRelinquishRule(_SkbOwnRuleBase):

@@ -11,12 +11,12 @@ Two sides describe the same lifecycle and must agree:
 
 Every dynamic site must be in the static catalog: a tag the scan cannot
 find means an instrumentation call built its site string at runtime (so
-``repro san`` cannot reason about it) or lives outside the analyzed
+the static rules cannot reason about it) or lives outside the analyzed
 tree. The reverse direction is informational — a static site a probe
 run never exercised is listed as *unexercised*, not failed, because no
 single scenario hits every discard path.
 
-``repro san --trace`` runs :func:`dynamic_site_probe` (a few
+``repro check --trace`` runs :func:`dynamic_site_probe` (a few
 milliseconds of simulated time across both schedulers, a thrashed flow
 table and a two-host cluster ring) and cross-checks it; the sanitizer
 test tier does the same against full golden scenarios.
@@ -25,8 +25,9 @@ test tier does the same against full golden scenarios.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set
+
+from repro.analysis.core import TraceCheck, iter_python_files, read_source
 
 #: Callee last-segments whose third positional argument is a site tag.
 _INSTRUMENTATION_CALLS = frozenset(("acquire", "release", "_san_discard"))
@@ -35,48 +36,12 @@ _INSTRUMENTATION_CALLS = frozenset(("acquire", "release", "_san_discard"))
 _SITE_ARG_INDEX = 2
 
 
-@dataclass
-class SanCheckResult:
-    """Verdict of one static↔dynamic cross-check."""
-
-    static_sites: List[str]
-    dynamic_sites: List[str]
-    #: Dynamic sites absent from the static catalog — failures.
-    unknown: List[str]
-    #: Static sites the dynamic run never exercised — informational.
-    unexercised: List[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.unknown
-
-    def render(self) -> List[str]:
-        lines = [
-            f"{len(self.static_sites)} static sites, "
-            f"{len(self.dynamic_sites)} exercised dynamically"
-        ]
-        for site in self.unknown:
-            lines.append(
-                f"UNKNOWN dynamic site {site!r}: not in the static catalog "
-                "(runtime-built tag or uninstrumented module?)"
-            )
-        if self.unexercised:
-            lines.append(
-                "unexercised static sites: " + ", ".join(self.unexercised)
-            )
-        return lines
-
-
 def static_site_catalog(paths: Sequence[str] = ("src",)) -> Set[str]:
     """Every site-tag literal at an instrumentation call under ``paths``."""
-    from repro.analysis.lint.runner import iter_python_files
-
     sites: Set[str] = set()
     for path in iter_python_files(paths):
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
         try:
-            tree = ast.parse(source, filename=path)
+            tree = ast.parse(read_source(path), filename=path)
         except SyntaxError:
             continue
         for node in ast.walk(tree):
@@ -169,7 +134,7 @@ def _probe_cluster() -> None:
 def san_cross_check(
     paths: Optional[Sequence[str]] = None,
     dynamic_sites: Optional[Iterable[str]] = None,
-) -> SanCheckResult:
+) -> TraceCheck:
     """Cross-check dynamic site tags against the static catalog.
 
     ``dynamic_sites`` defaults to a fresh :func:`dynamic_site_probe`
@@ -180,9 +145,27 @@ def san_cross_check(
     dynamic = (
         set(dynamic_sites) if dynamic_sites is not None else dynamic_site_probe()
     )
-    return SanCheckResult(
-        static_sites=sorted(static),
-        dynamic_sites=sorted(dynamic),
-        unknown=sorted(dynamic - static),
-        unexercised=sorted(static - dynamic),
+    unknown = sorted(dynamic - static)
+    unexercised = sorted(static - dynamic)
+    return TraceCheck(
+        name="sanitizer site cross-check",
+        summary=(
+            f"{len(static)} static sites, {len(dynamic)} exercised "
+            "dynamically"
+        ),
+        errors=[
+            f"dynamic site {site!r} is not in the static catalog "
+            "(runtime-built tag or uninstrumented module?)"
+            for site in unknown
+        ],
+        warnings=[
+            f"static site {site!r} never exercised by the dynamic run"
+            for site in unexercised
+        ],
+        facts={
+            "static_sites": sorted(static),
+            "dynamic_sites": sorted(dynamic),
+            "unknown": unknown,
+            "unexercised": unexercised,
+        },
     )

@@ -87,22 +87,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--split-gro", action="store_true")
 
 
-def _add_baseline_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="enforce the suppressed-findings ratchet against FILE "
-        "(new or stale suppressions fail)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="regenerate the suppressed-findings baseline into FILE",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -131,142 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--out", default="results")
     figures.add_argument("--only", default=None, help="comma-separated list")
 
-    lint = sub.add_parser(
-        "lint",
-        help="run the simlint static-analysis pass (determinism, "
-        "DES-discipline, simulated-concurrency contracts)",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint.add_argument(
-        "--format", choices=["text", "json"], default="text", dest="fmt"
-    )
-    lint.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="ID",
-        help="run only this rule id (repeatable, e.g. --rule SIM101)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    _add_baseline_args(lint)
-
-    flow = sub.add_parser(
-        "flow",
-        help="run the simflow dataflow pass (skb typestate, time-unit "
-        "taint, static/dynamic stage-graph cross-check)",
-    )
-    flow.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    flow.add_argument(
-        "--format", choices=["text", "json"], default="text", dest="fmt"
-    )
-    flow.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="ID",
-        help="run only this rule id (repeatable, e.g. --rule FLOW402)",
-    )
-    flow.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    flow.add_argument(
-        "--trace",
-        nargs="*",
-        default=None,
-        metavar="GOLDEN_JSON",
-        help="cross-check the static stage graph against golden traces "
-        "(default: every trace in tests/goldens); skips the dataflow rules",
-    )
-    flow.add_argument(
-        "--dump-spec",
-        action="store_true",
-        help="print the derived stage-order spec as JSON and exit",
-    )
-    _add_baseline_args(flow)
-
-    order = sub.add_parser(
-        "order",
-        help="run the simorder pass (partition-invariance taint, "
-        "cross-shard causality, flowcache ordering typestate)",
-    )
-    order.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    order.add_argument(
-        "--format", choices=["text", "json"], default="text", dest="fmt"
-    )
-    order.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="ID",
-        help="run only this rule id (repeatable, e.g. --rule ORD511)",
-    )
-    order.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    order.add_argument(
-        "--trace",
-        nargs="*",
-        default=None,
-        metavar="GOLDEN_JSON",
-        help="cross-check per-flow delivery order and fastpath edges "
-        "against golden traces (default: every trace in tests/goldens); "
-        "skips the static rules",
-    )
-    _add_baseline_args(order)
-
-    san = sub.add_parser(
-        "san",
-        help="run the simsan ownership pass (event freelist linearity, "
-        "skb ownership transfer, flow-cache entry lifecycle)",
-    )
-    san.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    san.add_argument(
-        "--format", choices=["text", "json"], default="text", dest="fmt"
-    )
-    san.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="ID",
-        help="run only this rule id (repeatable, e.g. --rule OWN601)",
-    )
-    san.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    san.add_argument(
-        "--trace",
-        action="store_true",
-        help="run a sanitized dynamic probe and cross-check its site tags "
-        "against the static instrumentation catalog; skips the static rules",
-    )
-    _add_baseline_args(san)
-
     check = sub.add_parser(
         "check",
-        help="run every static gate in one pass: lint + flow + order + san "
-        "(each against its committed baseline) + the mypy strict gate",
+        help="run the static analyzers (simlint, simflow, simorder, simsan) "
+        "in one pass over one parse, against the committed baseline, plus "
+        "the mypy strict gate",
     )
     check.add_argument(
         "paths",
@@ -275,7 +128,34 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to analyze (default: src)",
     )
     check.add_argument(
+        "--rule",
+        action="append",
+        default=None,
+        metavar="ID",
+        help="run only this rule id, from any family (repeatable, e.g. "
+        "--rule SIM101 --rule ORD511)",
+    )
+    check.add_argument(
+        "--list-rules", action="store_true", help="print the rule catalogue"
+    )
+    check.add_argument(
+        "--trace",
+        nargs="*",
+        default=None,
+        metavar="GOLDEN_JSON",
+        help="run the static/dynamic cross-checks instead of the rules: "
+        "stage edges and per-flow delivery order against golden traces "
+        "(default: every trace in tests/goldens), sanitizer sites against "
+        "the static catalog of the paths",
+    )
+    check.add_argument(
         "--format", choices=["text", "json"], default="text", dest="fmt"
+    )
+    check.add_argument(
+        "--write-baseline",
+        default=None,
+        metavar="FILE",
+        help="regenerate the suppressed-findings baseline into FILE",
     )
     check.add_argument(
         "--require-mypy",
@@ -406,34 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_baseline(args, result, label: str) -> Optional[int]:
-    """Handle --baseline / --write-baseline; None means keep going."""
-    from repro.analysis.baseline import (
-        check_baseline,
-        load_baseline_file,
-        render_baseline,
-    )
-
-    if args.write_baseline:
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            handle.write(render_baseline(result))
-        print(f"repro {label}: baseline written to {args.write_baseline}")
-        return 0 if result.ok else 1
-    if args.baseline:
-        try:
-            frozen = load_baseline_file(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"repro {label}: {exc}", file=sys.stderr)
-            return 2
-        errors = check_baseline(result, frozen)
-        for error in errors:
-            print(f"baseline: {error}", file=sys.stderr)
-        if errors or not result.ok:
-            return 1
-        return 0
-    return None
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "figures":
@@ -443,151 +295,39 @@ def main(argv: Optional[List[str]] = None) -> int:
         run_all(quick=args.quick, out_dir=args.out, only=only)
         return 0
 
-    if args.command == "lint":
-        from repro.analysis.lint import (
-            ALL_RULES,
-            lint_paths,
-            render_json,
-            render_text,
-        )
+    if args.command == "check":
+        from repro.analysis import check
 
         if args.list_rules:
-            for rule in ALL_RULES:
-                scope = (
-                    ", ".join(rule.scope) if rule.scope else "all linted files"
-                )
-                print(f"{rule.id}  {rule.title}")
-                print(f"    scope: {scope}")
-                print(f"    {rule.rationale}")
-            return 0
-        try:
-            result = lint_paths(args.paths, rule_ids=args.rule)
-        except ValueError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        print(render_json(result) if args.fmt == "json" else render_text(result))
-        baseline_rc = _apply_baseline(args, result, "lint")
-        if baseline_rc is not None:
-            return baseline_rc
-        return 0 if result.ok else 1
-
-    if args.command == "flow":
-        from repro.analysis.flow import FLOW_RULES, cross_check, flow_paths, stage_order_spec
-        from repro.analysis.lint import render_json, render_text
-
-        if args.list_rules:
-            for rule in FLOW_RULES:
-                scope = (
-                    ", ".join(rule.scope) if rule.scope else "all analyzed files"
-                )
-                print(f"{rule.id}  {rule.title}")
-                print(f"    scope: {scope}")
-                print(f"    {rule.rationale}")
-            return 0
-        if args.dump_spec:
-            import json as _json
-
-            print(_json.dumps(stage_order_spec().describe(), indent=2, sort_keys=True))
+            print(check.catalogue())
             return 0
         if args.trace is not None:
-            check = cross_check(args.trace)
-            print(check.to_json() if args.fmt == "json" else check.to_text())
-            return 0 if check.ok else 1
+            checks = check.run_traces(args.trace, args.paths)
+            print(check.render_traces(checks, args.fmt))
+            return 0 if all(c.ok for c in checks) else 1
         try:
-            result = flow_paths(args.paths, rule_ids=args.rule)
-        except ValueError as exc:
-            print(f"repro flow: {exc}", file=sys.stderr)
-            return 2
-        print(render_json(result) if args.fmt == "json" else render_text(result))
-        baseline_rc = _apply_baseline(args, result, "flow")
-        if baseline_rc is not None:
-            return baseline_rc
-        return 0 if result.ok else 1
+            if args.write_baseline:
+                from repro.analysis.baseline import render_baseline
 
-    if args.command == "order":
-        from repro.analysis.lint import render_json, render_text
-        from repro.analysis.order import (
-            ORDER_RULES,
-            order_cross_check,
-            order_paths,
-        )
-
-        if args.list_rules:
-            for rule in ORDER_RULES:
-                scope = (
-                    ", ".join(rule.scope) if rule.scope else "all analyzed files"
-                )
-                print(f"{rule.id}  {rule.title}")
-                print(f"    scope: {scope}")
-                print(f"    {rule.rationale}")
-            return 0
-        if args.trace is not None:
-            check = order_cross_check(args.trace)
-            print(check.to_json() if args.fmt == "json" else check.to_text())
-            return 0 if check.ok else 1
-        try:
-            result = order_paths(args.paths, rule_ids=args.rule)
-        except ValueError as exc:
-            print(f"repro order: {exc}", file=sys.stderr)
-            return 2
-        print(render_json(result) if args.fmt == "json" else render_text(result))
-        baseline_rc = _apply_baseline(args, result, "order")
-        if baseline_rc is not None:
-            return baseline_rc
-        return 0 if result.ok else 1
-
-    if args.command == "san":
-        from repro.analysis.lint import render_json, render_text
-        from repro.analysis.san import SAN_RULES, san_cross_check, san_paths
-
-        if args.list_rules:
-            for rule in SAN_RULES:
-                scope = (
-                    ", ".join(rule.scope) if rule.scope else "all analyzed files"
-                )
-                print(f"{rule.id}  {rule.title}")
-                print(f"    scope: {scope}")
-                print(f"    {rule.rationale}")
-            return 0
-        if args.trace:
-            check = san_cross_check(paths=args.paths)
-            if args.fmt == "json":
-                import json as _json
-
+                # Regenerating: the old baseline is not compared.
+                result = check.analyze(args.paths, rule_ids=args.rule)
+                with open(args.write_baseline, "w", encoding="utf-8") as handle:
+                    handle.write(render_baseline(result))
                 print(
-                    _json.dumps(
-                        {
-                            "ok": check.ok,
-                            "static_sites": check.static_sites,
-                            "dynamic_sites": check.dynamic_sites,
-                            "unknown": check.unknown,
-                            "unexercised": check.unexercised,
-                        },
-                        indent=2,
-                        sort_keys=True,
-                    )
+                    f"repro check: baseline written to {args.write_baseline}",
+                    file=sys.stderr,
                 )
             else:
-                for line in check.render():
-                    print(line)
-            return 0 if check.ok else 1
-        try:
-            result = san_paths(args.paths, rule_ids=args.rule)
-        except ValueError as exc:
-            print(f"repro san: {exc}", file=sys.stderr)
+                result = check.run_check(
+                    args.paths,
+                    rule_ids=args.rule,
+                    require_mypy=args.require_mypy,
+                )
+        except (OSError, ValueError) as exc:
+            print(f"repro check: {exc}", file=sys.stderr)
             return 2
-        print(render_json(result) if args.fmt == "json" else render_text(result))
-        baseline_rc = _apply_baseline(args, result, "san")
-        if baseline_rc is not None:
-            return baseline_rc
+        print(result.to_json() if args.fmt == "json" else result.to_text())
         return 0 if result.ok else 1
-
-    if args.command == "check":
-        from repro.analysis.check import run_check
-
-        report = run_check(args.paths, require_mypy=args.require_mypy)
-        print(report.to_json() if args.fmt == "json" else report.to_text())
-        return 0 if report.ok else 1
 
     if args.command == "bench":
         import json as _json

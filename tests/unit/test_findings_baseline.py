@@ -1,12 +1,11 @@
-"""Tests for the suppressed-findings baseline ratchet (satellite of the
-simflow PR): render/parse round-trips, the one-way ratchet semantics, CLI
-wiring, and the drift check pinning the checked-in baselines to reality.
+"""Tests for the suppressed-findings baseline ratchet: render/parse
+round-trips, the one-way ratchet semantics, CLI wiring, and the drift
+check pinning the one checked-in baseline to reality, family by family.
 """
-
-from pathlib import Path
 
 import pytest
 
+from repro.analysis import check
 from repro.analysis.baseline import (
     check_baseline,
     inventory_of,
@@ -15,27 +14,65 @@ from repro.analysis.baseline import (
     parse_baseline,
     render_baseline,
 )
-from repro.analysis.flow import flow_paths
-from repro.analysis.lint import lint_paths
-from repro.analysis.order import order_paths
-from repro.analysis.san import san_paths
-from repro.cli import main
+from repro.analysis.core import CheckResult, Finding
+from tests.unit.analyzer_kit import (
+    REPO_ROOT,
+    actual_findings,
+    family_ids,
+    run_cli,
+)
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-LINT_BASELINE = REPO_ROOT / "tools" / "lint_baseline.txt"
-FLOW_BASELINE = REPO_ROOT / "tools" / "flow_baseline.txt"
-ORDER_BASELINE = REPO_ROOT / "tools" / "order_baseline.txt"
-SAN_BASELINE = REPO_ROOT / "tools" / "san_baseline.txt"
+BASELINE = REPO_ROOT / check.BASELINE
+
+SUPPRESSED_SOURCE = (
+    "import random\n"
+    "x = random.random()  # simlint: disable=SIM102\n"
+)
 
 
 def suppressed_result(tmp_path):
     """A run with exactly one suppressed SIM102 finding."""
     path = tmp_path / "mod.py"
-    path.write_text(
-        "import random\n"
-        "x = random.random()  # simlint: disable=SIM102\n"
+    path.write_text(SUPPRESSED_SOURCE)
+    result, _ = actual_findings([path], family="lint")
+    return result
+
+
+def family_drift(src_check, family):
+    """Ratchet drift of one family's slice of the committed baseline,
+    measured on the shared whole-``src`` run."""
+    _, payload = src_check
+    ids = set(family_ids(family))
+    suppressed = [
+        Finding(s["path"], s["line"], s["col"] - 1, s["rule"], s["message"])
+        for s in payload["suppressed"]
+        if s["rule"] in ids
+    ]
+    return check_baseline(
+        CheckResult(suppressed=suppressed), family_baseline(family)
     )
-    return lint_paths([str(path)])
+
+
+def family_baseline(family):
+    ids = set(family_ids(family))
+    return {
+        key: count
+        for key, count in load_baseline_file(str(BASELINE)).items()
+        if key[1] in ids
+    }
+
+
+def fake_repo(tmp_path, monkeypatch, baseline_text=None):
+    """A repository root holding ``src/mod.py`` (one suppressed SIM102)
+    and, unless ``baseline_text`` is None, a committed baseline; the
+    pipeline and the working directory are pointed at it."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(SUPPRESSED_SOURCE)
+    (tmp_path / "tools").mkdir()
+    if baseline_text is not None:
+        (tmp_path / check.BASELINE).write_text(baseline_text)
+    monkeypatch.setattr(check, "_REPO_ROOT", tmp_path)
+    monkeypatch.chdir(tmp_path)
 
 
 class TestInventoryAndRendering:
@@ -89,119 +126,86 @@ class TestRatchetSemantics:
 
 
 class TestCheckedInBaselinesMatchReality:
-    """Drift check: the committed baseline files must equal the current
-    suppression inventory exactly — both directions fail."""
+    """Drift check: each family's slice of the committed baseline must
+    equal its current suppression inventory exactly — both directions
+    fail."""
 
-    def test_lint_baseline_is_current(self, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        result = lint_paths([str(REPO_ROOT / "src")])
-        frozen = load_baseline_file(str(LINT_BASELINE))
-        errors = check_baseline(result, frozen)
-        assert errors == [], "\n".join(errors)
+    def test_lint_baseline_is_current(self, src_check):
+        assert family_drift(src_check, "lint") == []
 
-    def test_flow_baseline_is_current(self, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        result = flow_paths([str(REPO_ROOT / "src")])
-        frozen = load_baseline_file(str(FLOW_BASELINE))
-        errors = check_baseline(result, frozen)
-        assert errors == [], "\n".join(errors)
+    def test_flow_baseline_is_current(self, src_check):
+        assert family_drift(src_check, "flow") == []
 
     def test_lint_baseline_is_nonempty(self):
         # The seed tree carries two deliberate suppressions (rng/run_all);
-        # an empty lint baseline means the runner stopped seeing them.
-        assert load_baseline_file(str(LINT_BASELINE))
+        # an empty lint slice means the pipeline stopped seeing them.
+        assert family_baseline("lint")
 
     def test_flow_baseline_is_empty(self):
         # simflow's must-analysis budget: no in-tree suppressions at all.
-        assert load_baseline_file(str(FLOW_BASELINE)) == {}
+        assert family_baseline("flow") == {}
 
-    def test_order_baseline_is_current(self, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        result = order_paths([str(REPO_ROOT / "src")])
-        frozen = load_baseline_file(str(ORDER_BASELINE))
-        errors = check_baseline(result, frozen)
-        assert errors == [], "\n".join(errors)
+    def test_order_baseline_is_current(self, src_check):
+        assert family_drift(src_check, "order") == []
 
     def test_order_baseline_is_empty(self):
         # simorder's acceptance bar: the shard engine and flowcache
         # satisfy every ORD rule with no pragmas at all — the exemptions
         # live in the rules' scope/exempt declarations, with reasons.
-        assert load_baseline_file(str(ORDER_BASELINE)) == {}
+        assert family_baseline("order") == {}
 
-    def test_san_baseline_is_current(self, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        result = san_paths([str(REPO_ROOT / "src")])
-        frozen = load_baseline_file(str(SAN_BASELINE))
-        errors = check_baseline(result, frozen)
-        assert errors == [], "\n".join(errors)
+    def test_san_baseline_is_current(self, src_check):
+        assert family_drift(src_check, "san") == []
 
     def test_san_baseline_is_empty(self):
         # simsan's acceptance bar: the engine's freelist, the wire codec
         # and the flowcache satisfy every OWN rule with no pragmas at
         # all — ownership discipline holds in-tree, not modulo a list
         # of grandfathered leaks.
-        assert load_baseline_file(str(SAN_BASELINE)) == {}
+        assert family_baseline("san") == {}
 
 
 class TestCli:
-    def test_lint_with_baseline_passes(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        code = main([
-            "lint", str(REPO_ROOT / "src"),
-            "--baseline", str(LINT_BASELINE),
-        ])
-        assert code == 0
+    """``repro check src`` from the repo root applies the baseline."""
 
-    def test_flow_with_baseline_passes(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        code = main([
-            "flow", str(REPO_ROOT / "src"),
-            "--baseline", str(FLOW_BASELINE),
-        ])
-        assert code == 0
+    def test_lint_with_baseline_passes(self, src_check):
+        code, payload = src_check
+        assert code == 0 and payload["baseline_errors"] == []
+        assert set(family_ids("lint")) <= set(payload["rules_run"])
 
-    def test_order_with_baseline_passes(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        code = main([
-            "order", str(REPO_ROOT / "src"),
-            "--baseline", str(ORDER_BASELINE),
-        ])
-        assert code == 0
+    def test_flow_with_baseline_passes(self, src_check):
+        code, payload = src_check
+        assert code == 0 and payload["baseline_errors"] == []
+        assert set(family_ids("flow")) <= set(payload["rules_run"])
 
-    def test_san_with_baseline_passes(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        code = main([
-            "san", str(REPO_ROOT / "src"),
-            "--baseline", str(SAN_BASELINE),
-        ])
-        assert code == 0
+    def test_order_with_baseline_passes(self, src_check):
+        code, payload = src_check
+        assert code == 0 and payload["baseline_errors"] == []
+        assert set(family_ids("order")) <= set(payload["rules_run"])
 
-    def test_new_suppression_fails_against_baseline(self, tmp_path, capsys):
-        mod = tmp_path / "mod.py"
-        mod.write_text(
-            "import random\n"
-            "x = random.random()  # simlint: disable=SIM102\n"
-        )
-        empty = tmp_path / "empty_baseline.txt"
-        empty.write_text("# nothing frozen\n")
-        code = main(["lint", str(mod), "--baseline", str(empty)])
+    def test_san_with_baseline_passes(self, src_check):
+        code, payload = src_check
+        assert code == 0 and payload["baseline_errors"] == []
+        assert set(family_ids("san")) <= set(payload["rules_run"])
+
+    def test_new_suppression_fails_against_baseline(
+        self, tmp_path, monkeypatch
+    ):
+        fake_repo(tmp_path, monkeypatch, baseline_text="# nothing frozen\n")
+        code, out, _ = run_cli("check", "src")
         assert code == 1
-        assert "new suppressed SIM102" in capsys.readouterr().err
+        assert "new suppressed SIM102" in out
 
-    def test_write_baseline_round_trips(self, tmp_path, capsys):
-        mod = tmp_path / "mod.py"
-        mod.write_text(
-            "import random\n"
-            "x = random.random()  # simlint: disable=SIM102\n"
-        )
-        out = tmp_path / "generated.txt"
-        assert main(["lint", str(mod), "--write-baseline", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["lint", str(mod), "--baseline", str(out)]) == 0
+    def test_write_baseline_round_trips(self, tmp_path, monkeypatch):
+        fake_repo(tmp_path, monkeypatch)
+        code, _, _ = run_cli("check", "src", "--write-baseline", check.BASELINE)
+        assert code == 0
+        code, out, _ = run_cli("check", "src")
+        assert "baseline:" not in out
+        assert code == 0 or "mypy: FAILED" in out
 
-    def test_missing_baseline_file_exits_two(self, tmp_path, capsys):
-        code = main([
-            "lint", str(REPO_ROOT / "src"),
-            "--baseline", str(tmp_path / "absent.txt"),
-        ])
+    def test_missing_baseline_file_exits_two(self, tmp_path, monkeypatch):
+        fake_repo(tmp_path, monkeypatch)
+        code, _, err = run_cli("check", "src")
         assert code == 2
+        assert "findings_baseline.txt" in err

@@ -1,4 +1,4 @@
-"""Tests for the static↔dynamic stage-edge cross-check (``repro flow --trace``)."""
+"""Tests for the static↔dynamic stage-edge cross-check (``repro check --trace``)."""
 
 import json
 from pathlib import Path
@@ -9,9 +9,7 @@ from repro.analysis.flow.crosscheck import (
     cross_check,
     default_trace_dir,
 )
-from repro.cli import main
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from tests.unit.analyzer_kit import run_cli, run_cli_json
 
 
 def make_trace_file(tmp_path, events_lists, name="synthetic.json"):
@@ -79,10 +77,10 @@ class TestCrossCheck:
     def test_golden_traces_match_static_graph(self):
         result = cross_check()
         assert result.ok, result.to_text()
-        assert result.traces_replayed > 0
-        assert result.missing_static == []
+        assert result.facts["traces_replayed"] > 0
+        assert result.facts["missing_from_static_graph"] == []
         # Every observed edge is a real static edge.
-        assert result.observed
+        assert result.facts["observed_edges"]
 
     def test_default_trace_dir_exists(self):
         golden_dir = Path(default_trace_dir())
@@ -101,7 +99,7 @@ class TestCrossCheck:
         )
         result = cross_check([str(path)])
         assert not result.ok
-        assert ("socket", "pnic") in result.missing_static
+        assert "socket->pnic" in result.facts["missing_from_static_graph"]
         assert "ERROR" in result.to_text()
         payload = json.loads(result.to_json())
         assert payload["ok"] is False
@@ -117,8 +115,8 @@ class TestCrossCheck:
             ]],
         )
         result = cross_check([str(path)])
-        assert result.traces_skipped == 1
-        assert result.traces_replayed == 0
+        assert result.facts["traces_skipped_multi_packet"] == 1
+        assert result.facts["traces_replayed"] == 0
         assert result.ok
 
     def test_unobserved_static_edges_are_warnings_not_errors(self, tmp_path):
@@ -131,17 +129,18 @@ class TestCrossCheck:
         )
         result = cross_check([str(path)])
         assert result.ok
-        assert result.unobserved_static  # most static edges unexercised
+        assert result.warnings  # most static edges unexercised
+        assert result.facts["static_edges_unobserved"]
         assert "warning" in result.to_text()
 
 
 class TestCli:
-    def test_trace_default_goldens_exit_zero(self, capsys):
-        assert main(["flow", "--trace"]) == 0
-        out = capsys.readouterr().out
-        assert "cross-check OK" in out
+    def test_trace_default_goldens_exit_zero(self):
+        code, out, _ = run_cli("check", "--trace")
+        assert code == 0
+        assert "stage-edge cross-check OK" in out
 
-    def test_trace_bad_file_exits_one(self, tmp_path, capsys):
+    def test_trace_bad_file_exits_one(self, tmp_path):
         path = make_trace_file(
             tmp_path,
             [[
@@ -149,11 +148,14 @@ class TestCli:
                 [2.0, "exec", "pnic", 0],
             ]],
         )
-        assert main(["flow", "--trace", str(path)]) == 1
-        assert "FAILED" in capsys.readouterr().out
+        code, out, _ = run_cli("check", "--trace", path)
+        assert code == 1
+        assert "stage-edge cross-check FAILED" in out
 
-    def test_trace_json_format(self, capsys):
-        assert main(["flow", "--trace", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_trace_json_format(self):
+        code, payload = run_cli_json("check", "--trace")
+        assert code == 0
         assert payload["ok"] is True
-        assert payload["traces_replayed"] > 0
+        stage_edges = payload["checks"][0]
+        assert stage_edges["name"] == "stage-edge cross-check"
+        assert stage_edges["traces_replayed"] > 0

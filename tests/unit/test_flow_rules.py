@@ -1,4 +1,4 @@
-"""Tests for the ``simflow`` dataflow/typestate pass.
+"""Tests for the ``simflow`` dataflow/typestate family of ``repro check``.
 
 Mirrors the simlint fixture discipline: every seeded violation in
 ``tests/fixtures/flow/`` carries a trailing ``# expect: RULE`` marker and
@@ -8,18 +8,10 @@ zero findings, which is the pass's false-positive budget.
 """
 
 import json
-import re
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow import (
-    FLOW_RULE_IDS,
-    FLOW_RULES,
-    flow_paths,
-    flow_rule_by_id,
-    stage_order_spec,
-)
+from repro.analysis.check import FAMILIES, analyze, rule_by_id
 from repro.analysis.flow.stagespec import (
     ALLOC,
     DROP_OPS,
@@ -27,37 +19,30 @@ from repro.analysis.flow.stagespec import (
     FREE,
     HARDIRQ,
     SOCKET,
+    stage_order_spec,
 )
-from repro.analysis.lint.report import render_json, render_text
-from repro.cli import main
+from tests.unit.analyzer_kit import (
+    FIXTURE_ROOT,
+    REPO_ROOT,
+    actual_findings as _actual_findings,
+    expected_fixture_findings as _expected,
+    family_ids,
+    family_of,
+    run_cli,
+    run_cli_json,
+)
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-FIXTURES = REPO_ROOT / "tests" / "fixtures" / "flow"
-
-MARKER_RE = re.compile(r"#\s*expect:\s*([A-Z0-9, ]+)")
+FIXTURES = FIXTURE_ROOT / "flow"
+FLOW_RULES = FAMILIES["flow"]
+FLOW_RULE_IDS = tuple(family_ids("flow"))
 
 
 def expected_fixture_findings():
-    """(file name, line, rule) tuples derived from ``# expect:`` markers."""
-    expected = set()
-    for path in sorted(FIXTURES.glob("*.py")):
-        for lineno, text in enumerate(
-            path.read_text().splitlines(), start=1
-        ):
-            match = MARKER_RE.search(text)
-            if match is None:
-                continue
-            for rule in match.group(1).replace(" ", "").split(","):
-                if rule:
-                    expected.add((path.name, lineno, rule))
-    return expected
+    return _expected(FIXTURES)
 
 
-def actual_findings(paths, **kwargs):
-    result = flow_paths([str(p) for p in paths], **kwargs)
-    return result, {
-        (Path(f.path).name, f.line, f.rule) for f in result.findings
-    }
+def actual_findings(paths, rule_ids=None):
+    return _actual_findings(paths, family="flow", rule_ids=rule_ids)
 
 
 class TestFixtureCorpus:
@@ -75,7 +60,7 @@ class TestFixtureCorpus:
         clean = sorted(FIXTURES.glob("*_clean.py"))
         assert clean, "corpus is missing its clean twins"
         result, actual = actual_findings(clean)
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
         assert actual == set()
 
     def test_findings_are_deterministic(self):
@@ -87,27 +72,31 @@ class TestFixtureCorpus:
 class TestSourceTreeIsClean:
     """Zero in-tree findings is the false-positive budget of the pass."""
 
-    def test_src_flows_clean(self):
-        result, _ = actual_findings([REPO_ROOT / "src"])
-        assert result.ok, render_text(result)
-        assert result.files_checked > 50
+    def test_src_flows_clean(self, src_check):
+        code, payload = src_check
+        assert code == 0 and payload["ok"], payload
+        assert set(FLOW_RULE_IDS) <= set(payload["rules_run"])
+        assert payload["files_checked"] > 50
 
     def test_tests_tree_flows_clean(self):
         # Unit tests manipulate skbs and microsecond timestamps freely;
         # the must-analysis design has to keep quiet there too.
         result, _ = actual_findings([REPO_ROOT / "tests" / "unit"])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
 
 class TestRuleCatalogue:
     def test_registry_matches_rules(self):
-        assert tuple(r.id for r in FLOW_RULES) == FLOW_RULE_IDS
+        assert FLOW_RULE_IDS == (
+            "FLOW401", "FLOW402", "FLOW403", "FLOW404", "TIME501", "TIME502",
+        )
+        assert {family_of(rule_id) for rule_id in FLOW_RULE_IDS} == {"flow"}
 
     def test_rule_by_id(self):
         for rule in FLOW_RULES:
-            assert flow_rule_by_id(rule.id) is rule
+            assert rule_by_id(rule.id) is rule
             assert rule.title and rule.rationale
-        assert flow_rule_by_id("BOGUS99") is None
+        assert rule_by_id("BOGUS99") is None
 
     def test_single_rule_runs_alone(self):
         result, actual = actual_findings([FIXTURES], rule_ids=["FLOW403"])
@@ -118,7 +107,7 @@ class TestRuleCatalogue:
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="BOGUS99"):
-            flow_paths([str(FIXTURES)], rule_ids=["BOGUS99"])
+            analyze([str(FIXTURES)], rule_ids=["BOGUS99"])
 
 
 class TestPragmaSuppression:
@@ -133,19 +122,17 @@ class TestPragmaSuppression:
         copy = tmp_path / "suppressed.py"
         copy.write_text(patched)
         result, actual = actual_findings([copy])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
         assert len(result.suppressed) == 2
         assert {f.rule for f in result.suppressed} == {"FLOW403"}
 
     def test_flow_ids_are_known_to_lint_meta_rules(self, tmp_path):
         # LINT001 (unknown rule id in pragma) must not fire for flow ids
         # used from the lint pass, and vice versa.
-        from repro.analysis.lint import lint_paths
-
         copy = tmp_path / "cross.py"
         copy.write_text("x = 1  # simlint: disable=FLOW402\n")
-        result = lint_paths([str(copy)])
-        assert result.ok, render_text(result)
+        result, _ = _actual_findings([copy], family="lint")
+        assert result.ok, result.to_text()
 
 
 class TestDerivedStageSpec:
@@ -203,9 +190,10 @@ class TestDerivedStageSpec:
         assert stage_order_spec() is stage_order_spec()
 
     def test_describe_is_json_ready(self):
-        payload = stage_order_spec().describe()
-        json.dumps(payload)  # must not raise
+        payload = json.loads(json.dumps(stage_order_spec().describe()))
         assert "stages" in payload and "edges" in payload and "ops" in payload
+        assert payload["stages"]["alloc"] == 0
+        assert "alloc->hardirq" in payload["edges"]
 
 
 class TestInterproceduralSummaries:
@@ -230,7 +218,7 @@ class TestInterproceduralSummaries:
             "    stack.l4_rcv(skb)\n"
         )
         result, actual = actual_findings([copy])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
     def test_both_branches_freed_fires(self, tmp_path):
         copy = tmp_path / "both.py"
@@ -247,44 +235,38 @@ class TestInterproceduralSummaries:
 
 
 class TestCli:
-    def test_flow_src_exits_zero(self, capsys):
-        assert main(["flow", str(REPO_ROOT / "src")]) == 0
-        assert "clean" in capsys.readouterr().out
+    def test_flow_src_exits_zero(self, src_check):
+        code, payload = src_check
+        assert code == 0
+        assert payload["findings"] == []
 
-    def test_flow_fixtures_exits_one_with_json(self, capsys):
-        code = main(["flow", str(FIXTURES), "--format", "json"])
+    def test_flow_fixtures_exits_one_with_json(self):
+        code, payload = run_cli_json("check", FIXTURES)
         assert code == 1
-        payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert payload["counts_by_rule"]["FLOW401"] == 3
 
-    def test_unknown_rule_exits_two(self, capsys):
-        code = main(["flow", str(FIXTURES), "--rule", "BOGUS99"])
+    def test_unknown_rule_exits_two(self):
+        code, _, err = run_cli("check", FIXTURES, "--rule", "BOGUS99")
         assert code == 2
-        assert "BOGUS99" in capsys.readouterr().err
+        assert "BOGUS99" in err
 
-    def test_list_rules(self, capsys):
-        assert main(["flow", "--list-rules"]) == 0
-        out = capsys.readouterr().out
+    def test_list_rules(self):
+        code, out, _ = run_cli("check", "--list-rules")
+        assert code == 0
         for rule_id in FLOW_RULE_IDS:
             assert rule_id in out
 
-    def test_dump_spec(self, capsys):
-        assert main(["flow", "--dump-spec"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["stages"]["alloc"] == 0
-        assert "alloc->hardirq" in payload["edges"]
-
-    def test_json_reporter_includes_suppressed(self, tmp_path, capsys):
+    def test_json_reporter_includes_suppressed(self, tmp_path):
         copy = tmp_path / "supp.py"
         copy.write_text(
             "def f(skb, stack):\n"
             "    stack.consume_skb(skb)\n"
             "    stack.netif_rx(skb)  # simlint: disable=FLOW403\n"
         )
-        assert main(["flow", str(copy), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        code, payload = run_cli_json("check", copy)
+        assert code == 0
         assert payload["ok"] is True
-        assert payload["suppressed"] == [
-            {"path": str(copy), "line": 3, "rule": "FLOW403"}
-        ]
+        assert [
+            (s["path"], s["line"], s["rule"]) for s in payload["suppressed"]
+        ] == [(str(copy), 3, "FLOW403")]

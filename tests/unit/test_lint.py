@@ -1,4 +1,4 @@
-"""Tests for the ``simlint`` static-analysis pass.
+"""Tests for the ``simlint`` rule family of ``repro check``.
 
 The fixture corpus under ``tests/fixtures/lint/`` carries one violation
 per rule id, each line marked with a trailing ``# expect: RULE`` comment;
@@ -7,54 +7,35 @@ exact (file, line, rule) agreement — no extra findings, none missing.
 """
 
 import json
-import re
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
-    ALL_RULES,
-    lint_paths,
-    render_json,
-    render_text,
-    rule_by_id,
-)
+from repro.analysis.check import FAMILIES, analyze, rule_by_id
 from repro.analysis.pragmas import lint_exempt, parse_pragmas
-from repro.cli import main
+from tests.unit.analyzer_kit import (
+    FIXTURE_ROOT,
+    REPO_ROOT,
+    actual_findings as _actual_findings,
+    expected_fixture_findings as _expected,
+    run_cli,
+    run_cli_json,
+)
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
+FIXTURES = FIXTURE_ROOT / "lint"
 SRC_TREE = REPO_ROOT / "src" / "repro"
 SOFTIRQ = SRC_TREE / "kernel" / "softirq.py"
-
-#: Trailing marker naming the rule(s) a fixture line must trigger.
-MARKER_RE = re.compile(r"#\s*expect:\s*([A-Z0-9, ]+)")
+LINT_RULES = FAMILIES["lint"]
 
 #: The one serialization call whose removal must wake the race detector.
 SERIALIZATION_LINE = "self.raise_net_rx(target_cpu, napi, from_cpu)"
 
 
 def expected_fixture_findings():
-    """(file name, line, rule) tuples derived from ``# expect:`` markers."""
-    expected = set()
-    for path in sorted(FIXTURES.glob("*.py")):
-        for lineno, text in enumerate(
-            path.read_text().splitlines(), start=1
-        ):
-            match = MARKER_RE.search(text)
-            if match is None:
-                continue
-            for rule in match.group(1).replace(" ", "").split(","):
-                if rule:
-                    expected.add((path.name, lineno, rule))
-    return expected
+    return _expected(FIXTURES)
 
 
-def actual_findings(paths, **kwargs):
-    result = lint_paths([str(p) for p in paths], **kwargs)
-    return result, {
-        (Path(f.path).name, f.line, f.rule) for f in result.findings
-    }
+def actual_findings(paths, rule_ids=None):
+    return _actual_findings(paths, family="lint", rule_ids=rule_ids)
 
 
 class TestFixtureCorpus:
@@ -65,7 +46,7 @@ class TestFixtureCorpus:
 
     def test_every_rule_is_exercised(self):
         rules_seen = {rule for _, _, rule in expected_fixture_findings()}
-        for rule in ALL_RULES:
+        for rule in LINT_RULES:
             assert rule.id in rules_seen, f"no fixture exercises {rule.id}"
         assert "LINT000" in rules_seen
         assert "LINT001" in rules_seen
@@ -84,10 +65,11 @@ class TestFixtureCorpus:
 
 
 class TestSourceTreeIsClean:
-    def test_src_lints_clean(self):
-        result, actual = actual_findings([REPO_ROOT / "src"])
-        assert result.ok, render_text(result)
-        assert result.files_checked > 50
+    def test_src_lints_clean(self, src_check):
+        code, payload = src_check
+        assert code == 0 and payload["ok"], payload
+        assert {rule.id for rule in LINT_RULES} <= set(payload["rules_run"])
+        assert payload["files_checked"] > 50
 
 
 class TestRaceDetectorOnSoftirq:
@@ -97,7 +79,7 @@ class TestRaceDetectorOnSoftirq:
         copy = tmp_path / "softirq_copy.py"
         copy.write_text(SOFTIRQ.read_text())
         result, _ = actual_findings([copy])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
     def test_removing_serialization_fires_race301(self, tmp_path):
         lines = SOFTIRQ.read_text().splitlines(keepends=True)
@@ -128,10 +110,10 @@ class TestRuleSelection:
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="BOGUS99"):
-            lint_paths([str(FIXTURES)], rule_ids=["BOGUS99"])
+            analyze([str(FIXTURES)], rule_ids=["BOGUS99"])
 
     def test_rule_by_id_catalogue(self):
-        for rule in ALL_RULES:
+        for rule in LINT_RULES:
             assert rule_by_id(rule.id) is rule
             assert rule.title and rule.rationale
 
@@ -139,14 +121,14 @@ class TestRuleSelection:
 class TestReporters:
     def test_text_format(self):
         result, _ = actual_findings([FIXTURES / "sim101_bad.py"])
-        text = render_text(result)
+        text = result.to_text()
         assert "sim101_bad.py:7:" in text
         assert "SIM101" in text
         assert "1 finding" in text
 
     def test_json_format(self):
         result, _ = actual_findings([FIXTURES / "sim101_bad.py"])
-        payload = json.loads(render_json(result))
+        payload = json.loads(result.to_json())
         assert payload["ok"] is False
         assert payload["counts_by_rule"] == {"SIM101": 1}
         (finding,) = payload["findings"]
@@ -155,26 +137,26 @@ class TestReporters:
 
 
 class TestCli:
-    def test_lint_src_exits_zero(self, capsys):
-        assert main(["lint", str(REPO_ROOT / "src")]) == 0
-        assert "clean" in capsys.readouterr().out
+    def test_lint_src_exits_zero(self, src_check):
+        code, payload = src_check
+        assert code == 0
+        assert payload["findings"] == []
 
-    def test_lint_fixtures_exits_one_with_json(self, capsys):
-        code = main(["lint", str(FIXTURES), "--format", "json"])
+    def test_lint_fixtures_exits_one_with_json(self):
+        code, payload = run_cli_json("check", FIXTURES)
         assert code == 1
-        payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert payload["counts_by_rule"]["RACE301"] == 1
 
-    def test_unknown_rule_exits_two(self, capsys):
-        code = main(["lint", str(FIXTURES), "--rule", "BOGUS99"])
+    def test_unknown_rule_exits_two(self):
+        code, _, err = run_cli("check", FIXTURES, "--rule", "BOGUS99")
         assert code == 2
-        assert "BOGUS99" in capsys.readouterr().err
+        assert "BOGUS99" in err
 
-    def test_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in ALL_RULES:
+    def test_list_rules(self):
+        code, out, _ = run_cli("check", "--list-rules")
+        assert code == 0
+        for rule in LINT_RULES:
             assert rule.id in out
 
 
@@ -279,12 +261,12 @@ class TestPragmaBinding:
             "# simlint: disable=SIM102\n"
             "x = random.random()\n"
         )
-        result = lint_paths([str(src)])
-        assert result.ok, render_text(result)
+        result, _ = actual_findings([src])
+        assert result.ok, result.to_text()
         assert [f.rule for f in result.suppressed] == ["SIM102"]
 
     def test_eof_pragma_is_reported_by_the_runner(self, tmp_path):
         src = tmp_path / "mod.py"
         src.write_text("x = 1\n# simlint: disable=SIM101\n")
-        result = lint_paths([str(src)])
+        result, _ = actual_findings([src])
         assert [f.rule for f in result.findings] == ["LINT000"]

@@ -17,8 +17,8 @@ unconditionally — strict by default.
 
 from pathlib import Path
 
-from repro.analysis.lint.report import render_text
-from repro.analysis.order import order_paths
+from repro.analysis.check import analyze
+from tests.unit.analyzer_kit import family_ids
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 CLUSTER = REPO_ROOT / "src" / "repro" / "overlay" / "cluster.py"
@@ -26,7 +26,7 @@ FLOWCACHE = REPO_ROOT / "src" / "repro" / "kernel" / "flowcache.py"
 
 
 def findings_for(path):
-    result = order_paths([str(path)])
+    result = analyze([str(path)], rule_ids=family_ids("order"))
     return [(f.line, f.rule) for f in result.findings]
 
 
@@ -51,14 +51,14 @@ class TestCleanCopies:
     def test_cluster_copy_is_clean(self, tmp_path):
         copy = tmp_path / CLUSTER.name
         copy.write_text(CLUSTER.read_text())
-        result = order_paths([str(copy)])
-        assert result.ok, render_text(result)
+        result = analyze([str(copy)], rule_ids=family_ids("order"))
+        assert result.ok, result.to_text()
 
     def test_flowcache_copy_is_clean(self, tmp_path):
         copy = tmp_path / FLOWCACHE.name
         copy.write_text(FLOWCACHE.read_text())
-        result = order_paths([str(copy)])
-        assert result.ok, render_text(result)
+        result = analyze([str(copy)], rule_ids=family_ids("order"))
+        assert result.ok, result.to_text()
 
 
 class TestPlantedDefects:

@@ -1,4 +1,4 @@
-"""Tests for the ``simorder`` ordering/causality pass.
+"""Tests for the ``simorder`` ordering/causality family of ``repro check``.
 
 Mirrors the simlint/simflow fixture discipline: every seeded violation
 in ``tests/fixtures/order/`` carries a trailing ``# expect: RULE``
@@ -9,49 +9,32 @@ must produce zero findings, which is the pass's false-positive budget.
 """
 
 import json
-import re
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.check import run_check
-from repro.analysis.lint.report import render_text
-from repro.analysis.order import (
-    ORDER_RULE_IDS,
-    ORDER_RULES,
-    order_cross_check,
-    order_paths,
-    order_rule_by_id,
+from repro.analysis.check import FAMILIES, analyze, rule_by_id, run_check
+from repro.analysis.order.ordercheck import order_cross_check
+from tests.unit.analyzer_kit import (
+    FIXTURE_ROOT,
+    actual_findings as _actual_findings,
+    expected_fixture_findings as _expected,
+    family_ids,
+    family_of,
+    run_cli,
+    run_cli_json,
 )
-from repro.cli import main
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-FIXTURES = REPO_ROOT / "tests" / "fixtures" / "order"
-
-MARKER_RE = re.compile(r"#\s*expect:\s*([A-Z0-9, ]+)")
+FIXTURES = FIXTURE_ROOT / "order"
+ORDER_RULES = FAMILIES["order"]
+ORDER_RULE_IDS = tuple(family_ids("order"))
 
 
 def expected_fixture_findings():
-    """(file name, line, rule) tuples derived from ``# expect:`` markers."""
-    expected = set()
-    for path in sorted(FIXTURES.glob("*.py")):
-        for lineno, text in enumerate(
-            path.read_text().splitlines(), start=1
-        ):
-            match = MARKER_RE.search(text)
-            if match is None:
-                continue
-            for rule in match.group(1).replace(" ", "").split(","):
-                if rule:
-                    expected.add((path.name, lineno, rule))
-    return expected
+    return _expected(FIXTURES)
 
 
-def actual_findings(paths, **kwargs):
-    result = order_paths([str(p) for p in paths], **kwargs)
-    return result, {
-        (Path(f.path).name, f.line, f.rule) for f in result.findings
-    }
+def actual_findings(paths, rule_ids=None):
+    return _actual_findings(paths, family="order", rule_ids=rule_ids)
 
 
 class TestFixtureCorpus:
@@ -69,7 +52,7 @@ class TestFixtureCorpus:
         clean = sorted(FIXTURES.glob("*_clean.py"))
         assert clean, "corpus is missing its clean twins"
         result, actual = actual_findings(clean)
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
         assert actual == set()
 
     def test_findings_are_deterministic(self):
@@ -86,22 +69,28 @@ class TestSourceTreeIsClean:
     no pragmas, no suppressions (see test_findings_baseline.py).
     """
 
-    def test_src_orders_clean(self):
-        result, _ = actual_findings([REPO_ROOT / "src"])
-        assert result.ok, render_text(result)
-        assert not result.suppressed
-        assert result.files_checked > 50
+    def test_src_orders_clean(self, src_check):
+        code, payload = src_check
+        assert code == 0 and payload["ok"], payload
+        assert set(ORDER_RULE_IDS) <= set(payload["rules_run"])
+        assert not [
+            s for s in payload["suppressed"] if s["rule"] in ORDER_RULE_IDS
+        ]
+        assert payload["files_checked"] > 50
 
 
 class TestRuleCatalogue:
     def test_registry_matches_rules(self):
-        assert tuple(r.id for r in ORDER_RULES) == ORDER_RULE_IDS
+        assert ORDER_RULE_IDS == tuple(
+            f"ORD5{group}{n}" for group in "012" for n in "123"
+        )
+        assert {family_of(rule_id) for rule_id in ORDER_RULE_IDS} == {"order"}
 
     def test_rule_by_id(self):
         for rule in ORDER_RULES:
-            assert order_rule_by_id(rule.id) is rule
+            assert rule_by_id(rule.id) is rule
             assert rule.title and rule.rationale
-        assert order_rule_by_id("BOGUS99") is None
+        assert rule_by_id("BOGUS99") is None
 
     def test_single_rule_runs_alone(self):
         result, actual = actual_findings([FIXTURES], rule_ids=["ORD511"])
@@ -112,7 +101,7 @@ class TestRuleCatalogue:
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="BOGUS99"):
-            order_paths([str(FIXTURES)], rule_ids=["BOGUS99"])
+            analyze([str(FIXTURES)], rule_ids=["BOGUS99"])
 
 
 class TestMustAnalysisSemantics:
@@ -153,7 +142,7 @@ class TestMustAnalysisSemantics:
             "    self.outbox.emit(when, 'credit', src, ())\n"
         )
         result, _ = actual_findings([copy])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
 
 class TestPragmaSuppression:
@@ -175,12 +164,10 @@ class TestPragmaSuppression:
     def test_order_ids_are_known_to_lint_meta_rules(self, tmp_path):
         # LINT001 (unknown rule id in pragma) must not fire for order ids
         # used from the lint pass, and vice versa.
-        from repro.analysis.lint import lint_paths
-
         copy = tmp_path / "cross.py"
         copy.write_text("x = 1  # simlint: disable=ORD521\n")
-        result = lint_paths([str(copy)])
-        assert result.ok, render_text(result)
+        result, _ = _actual_findings([copy], family="lint")
+        assert result.ok, result.to_text()
 
 
 class TestOrderCrossCheck:
@@ -189,10 +176,10 @@ class TestOrderCrossCheck:
     def test_shipped_goldens_hold_the_ordering_model(self):
         check = order_cross_check()
         assert check.ok, check.to_text()
-        assert check.flows_checked > 0
-        assert check.deliveries_checked > check.flows_checked
+        assert check.facts["flows_checked"] > 0
+        assert check.facts["deliveries_checked"] > check.facts["flows_checked"]
         # The oncache goldens exercise the cached datapath.
-        assert check.fastpath_observed
+        assert check.facts["fastpath_edges_observed"]
 
     def test_reordered_delivery_is_detected(self, tmp_path):
         golden = tmp_path / "reordered.json"
@@ -206,10 +193,11 @@ class TestOrderCrossCheck:
         }))
         check = order_cross_check([str(golden)])
         assert not check.ok
-        assert len(check.violations) == 1
-        name, flow, earlier, later, earlier_t, later_t = check.violations[0]
-        assert (flow, earlier, later) == (7, 0, 1)
-        assert later_t < earlier_t
+        (violation,) = check.facts["delivery_order_violations"]
+        assert (
+            violation["flow"], violation["earlier_msg"], violation["later_msg"]
+        ) == (7, 0, 1)
+        assert violation["later_time_us"] < violation["earlier_time_us"]
 
     def test_unknown_fastpath_edge_is_detected(self, tmp_path):
         golden = tmp_path / "wired.json"
@@ -224,7 +212,9 @@ class TestOrderCrossCheck:
         }))
         check = order_cross_check([str(golden)])
         assert not check.ok
-        assert ("socket", "fastpath") in check.fastpath_unknown
+        assert "socket->fastpath" in check.facts[
+            "fastpath_edges_unknown_to_static_graph"
+        ]
 
     def test_json_schema(self, tmp_path):
         check = order_cross_check()
@@ -244,69 +234,71 @@ class TestOrderCrossCheck:
 
 
 class TestUnifiedCheck:
-    """`repro check` runs every static gate in one pass."""
+    """`repro check` runs every rule family in one pass."""
 
     def test_fixture_run_fails_order_only(self):
-        report = run_check([str(FIXTURES)])
-        assert not report.ok
-        by_name = {step.name: step for step in report.steps}
-        assert set(by_name) == {"lint", "flow", "order", "san", "mypy"}
-        assert not by_name["order"].ok
-        assert by_name["flow"].ok
+        result = run_check([str(FIXTURES)])
+        assert not result.ok
+        families = {family_of(f.rule) for f in result.findings}
+        assert "order" in families
+        assert "flow" not in families
         # mypy is optional in this environment: ok or skipped, never
         # silently absent.
-        assert by_name["mypy"].ok or not by_name["mypy"].skipped
+        assert result.mypy is not None
+        assert result.mypy.ok or not result.mypy.skipped
 
     def test_rule_filter_routes_to_owning_analyzer(self):
-        report = run_check([str(FIXTURES)], rule_ids=["ORD521"])
-        by_name = {step.name: step for step in report.steps}
-        assert not by_name["order"].ok
-        assert by_name["lint"].ok and by_name["flow"].ok
+        result = run_check([str(FIXTURES)], rule_ids=["ORD521"])
+        assert not result.ok
+        assert result.rules_run == ["ORD521"]
+        assert {f.rule for f in result.findings} == {"ORD521"}
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="BOGUS99"):
             run_check([str(FIXTURES)], rule_ids=["BOGUS99"])
 
     def test_json_schema(self):
-        report = run_check([str(FIXTURES)])
-        payload = json.loads(report.to_json())
+        payload = json.loads(run_check([str(FIXTURES)]).to_json())
         assert payload["ok"] is False
-        assert [step["name"] for step in payload["steps"]] == [
-            "lint", "flow", "order", "san", "mypy",
-        ]
-        for step in payload["steps"]:
-            assert set(step) == {"name", "ok", "skipped", "summary"}
+        assert set(payload) == {
+            "ok", "files_checked", "rules_run", "counts_by_rule",
+            "findings", "suppressed", "baseline_errors", "mypy",
+        }
+        assert set(payload["mypy"]) == {"ok", "skipped", "summary"}
+        for finding in payload["findings"]:
+            assert set(finding) == {"path", "line", "col", "rule", "message"}
 
 
 class TestCli:
-    def test_order_src_exits_zero(self, capsys):
-        assert main(["order", str(REPO_ROOT / "src")]) == 0
-        assert "clean" in capsys.readouterr().out
+    def test_order_src_exits_zero(self, src_check):
+        code, payload = src_check
+        assert code == 0
+        assert payload["findings"] == []
 
-    def test_order_fixtures_exits_one_with_json(self, capsys):
-        code = main(["order", str(FIXTURES), "--format", "json"])
+    def test_order_fixtures_exits_one_with_json(self):
+        code, payload = run_cli_json("check", FIXTURES)
         assert code == 1
-        payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert payload["counts_by_rule"]["ORD511"] == 2
         assert payload["counts_by_rule"]["ORD502"] == 2
 
-    def test_unknown_rule_exits_two(self, capsys):
-        code = main(["order", str(FIXTURES), "--rule", "BOGUS99"])
+    def test_unknown_rule_exits_two(self):
+        code, _, err = run_cli("check", FIXTURES, "--rule", "BOGUS99")
         assert code == 2
-        assert "BOGUS99" in capsys.readouterr().err
+        assert "BOGUS99" in err
 
-    def test_list_rules(self, capsys):
-        assert main(["order", "--list-rules"]) == 0
-        out = capsys.readouterr().out
+    def test_list_rules(self):
+        code, out, _ = run_cli("check", "--list-rules")
+        assert code == 0
         for rule_id in ORDER_RULE_IDS:
             assert rule_id in out
 
-    def test_trace_exits_zero_on_shipped_goldens(self, capsys):
-        assert main(["order", "--trace"]) == 0
-        assert "cross-check OK" in capsys.readouterr().out
+    def test_trace_exits_zero_on_shipped_goldens(self):
+        code, out, _ = run_cli("check", "--trace")
+        assert code == 0
+        assert "ordering cross-check OK" in out
 
-    def test_trace_exits_one_on_reordered_golden(self, tmp_path, capsys):
+    def test_trace_exits_one_on_reordered_golden(self, tmp_path):
         golden = tmp_path / "reordered.json"
         golden.write_text(json.dumps({
             "traces": [
@@ -316,17 +308,19 @@ class TestCli:
                  "events": [[3.0, "deliver", "container", 1]]},
             ],
         }))
-        code = main(["order", "--trace", str(golden), "--format", "json"])
+        code, payload = run_cli_json("check", "--trace", golden)
         assert code == 1
-        payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert len(payload["delivery_order_violations"]) == 1
+        ordering = payload["checks"][1]
+        assert ordering["name"] == "ordering cross-check"
+        assert len(ordering["delivery_order_violations"]) == 1
 
-    def test_check_fixtures_exits_one(self, capsys):
-        assert main(["check", str(FIXTURES)]) == 1
-        assert "check FAILED" in capsys.readouterr().out
+    def test_check_fixtures_exits_one(self):
+        code, out, _ = run_cli("check", FIXTURES)
+        assert code == 1
+        assert "check FAILED" in out
 
-    def test_check_src_exits_zero_with_json(self, capsys):
-        assert main(["check", str(REPO_ROOT / "src"), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_check_src_exits_zero_with_json(self, src_check):
+        code, payload = src_check
+        assert code == 0
         assert payload["ok"] is True

@@ -20,8 +20,8 @@ unconditionally — strict by default.
 
 from pathlib import Path
 
-from repro.analysis.lint.report import render_text
-from repro.analysis.san import san_paths
+from repro.analysis.check import analyze
+from tests.unit.analyzer_kit import family_ids
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 ENGINE = REPO_ROOT / "src" / "repro" / "sim" / "engine.py"
@@ -31,7 +31,7 @@ FLOWCACHE = REPO_ROOT / "src" / "repro" / "kernel" / "flowcache.py"
 
 
 def findings_for(path):
-    result = san_paths([str(path)])
+    result = analyze([str(path)], rule_ids=family_ids("san"))
     return [(f.line, f.rule) for f in result.findings]
 
 
@@ -57,8 +57,8 @@ class TestCleanCopies:
         for source in (ENGINE, GRO, CLUSTER, FLOWCACHE):
             copy = tmp_path / source.name
             copy.write_text(source.read_text())
-            result = san_paths([str(copy)])
-            assert result.ok, f"{source.name}:\n{render_text(result)}"
+            result = analyze([str(copy)], rule_ids=family_ids("san"))
+            assert result.ok, f"{source.name}:\n{result.to_text()}"
 
 
 class TestPlantedDefects:

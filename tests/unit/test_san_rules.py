@@ -1,4 +1,4 @@
-"""Tests for the ``simsan`` ownership/lifetime pass.
+"""Tests for the ``simsan`` ownership/lifetime family of ``repro check``.
 
 Mirrors the simlint/simflow/simorder fixture discipline: every seeded
 violation in ``tests/fixtures/san/`` carries a trailing ``# expect:
@@ -9,50 +9,31 @@ source must produce zero findings, which is the pass's false-positive
 budget.
 """
 
-import json
-import re
-from pathlib import Path
-
 import pytest
 
-from repro.analysis.check import run_check
-from repro.analysis.lint.report import render_text
-from repro.analysis.san import (
-    SAN_RULE_IDS,
-    SAN_RULES,
-    san_cross_check,
-    san_paths,
-    san_rule_by_id,
+from repro.analysis.check import FAMILIES, analyze, rule_by_id, run_check
+from repro.analysis.san.sancheck import san_cross_check
+from tests.unit.analyzer_kit import (
+    FIXTURE_ROOT,
+    actual_findings as _actual_findings,
+    expected_fixture_findings as _expected,
+    family_ids,
+    family_of,
+    run_cli,
+    run_cli_json,
 )
-from repro.cli import main
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-FIXTURES = REPO_ROOT / "tests" / "fixtures" / "san"
-
-MARKER_RE = re.compile(r"#\s*expect:\s*([A-Z0-9, ]+)")
+FIXTURES = FIXTURE_ROOT / "san"
+SAN_RULES = FAMILIES["san"]
+SAN_RULE_IDS = tuple(family_ids("san"))
 
 
 def expected_fixture_findings():
-    """(file name, line, rule) tuples derived from ``# expect:`` markers."""
-    expected = set()
-    for path in sorted(FIXTURES.glob("*.py")):
-        for lineno, text in enumerate(
-            path.read_text().splitlines(), start=1
-        ):
-            match = MARKER_RE.search(text)
-            if match is None:
-                continue
-            for rule in match.group(1).replace(" ", "").split(","):
-                if rule:
-                    expected.add((path.name, lineno, rule))
-    return expected
+    return _expected(FIXTURES)
 
 
-def actual_findings(paths, **kwargs):
-    result = san_paths([str(p) for p in paths], **kwargs)
-    return result, {
-        (Path(f.path).name, f.line, f.rule) for f in result.findings
-    }
+def actual_findings(paths, rule_ids=None):
+    return _actual_findings(paths, family="san", rule_ids=rule_ids)
 
 
 class TestFixtureCorpus:
@@ -70,7 +51,7 @@ class TestFixtureCorpus:
         clean = sorted(FIXTURES.glob("*_clean.py"))
         assert clean, "corpus is missing its clean twins"
         result, actual = actual_findings(clean)
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
         assert actual == set()
 
     def test_findings_are_deterministic(self):
@@ -88,22 +69,28 @@ class TestSourceTreeIsClean:
     test_findings_baseline.py).
     """
 
-    def test_src_owns_clean(self):
-        result, _ = actual_findings([REPO_ROOT / "src"])
-        assert result.ok, render_text(result)
-        assert not result.suppressed
-        assert result.files_checked > 50
+    def test_src_owns_clean(self, src_check):
+        code, payload = src_check
+        assert code == 0 and payload["ok"], payload
+        assert set(SAN_RULE_IDS) <= set(payload["rules_run"])
+        assert not [
+            s for s in payload["suppressed"] if s["rule"] in SAN_RULE_IDS
+        ]
+        assert payload["files_checked"] > 50
 
 
 class TestRuleCatalogue:
     def test_registry_matches_rules(self):
-        assert tuple(r.id for r in SAN_RULES) == SAN_RULE_IDS
+        assert SAN_RULE_IDS == tuple(
+            f"OWN6{group}{n}" for group in "012" for n in "123"
+        )
+        assert {family_of(rule_id) for rule_id in SAN_RULE_IDS} == {"san"}
 
     def test_rule_by_id(self):
         for rule in SAN_RULES:
-            assert san_rule_by_id(rule.id) is rule
+            assert rule_by_id(rule.id) is rule
             assert rule.title and rule.rationale
-        assert san_rule_by_id("BOGUS99") is None
+        assert rule_by_id("BOGUS99") is None
 
     def test_single_rule_runs_alone(self):
         result, actual = actual_findings([FIXTURES], rule_ids=["OWN601"])
@@ -114,7 +101,7 @@ class TestRuleCatalogue:
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="BOGUS99"):
-            san_paths([str(FIXTURES)], rule_ids=["BOGUS99"])
+            analyze([str(FIXTURES)], rule_ids=["BOGUS99"])
 
 
 class TestOwnershipSemantics:
@@ -132,7 +119,7 @@ class TestOwnershipSemantics:
             "        self._recycle(ev)\n"
         )
         result, _ = actual_findings([copy])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
     def test_release_after_either_arm_is_double(self, tmp_path):
         copy = tmp_path / "joined_double.py"
@@ -172,7 +159,7 @@ class TestOwnershipSemantics:
             "    return skb\n"
         )
         result, _ = actual_findings([copy])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
     def test_store_and_forward_is_flagged(self, tmp_path):
         copy = tmp_path / "retained.py"
@@ -203,12 +190,11 @@ class TestPragmaSuppression:
         assert result.suppressed[0].line == 14
 
     def test_san_ids_are_known_to_lint_meta_rules(self, tmp_path):
-        from repro.analysis.lint import lint_paths
 
         copy = tmp_path / "cross.py"
         copy.write_text("x = 1  # simlint: disable=OWN611\n")
-        result = lint_paths([str(copy)])
-        assert result.ok, render_text(result)
+        result, _ = _actual_findings([copy], family="lint")
+        assert result.ok, result.to_text()
 
 
 class TestStaticDynamicCrossCheck:
@@ -218,8 +204,8 @@ class TestStaticDynamicCrossCheck:
 
     def test_probe_exercises_known_sites_only(self):
         check = san_cross_check()
-        assert check.ok, "\n".join(check.render())
-        assert len(check.static_sites) >= 15
+        assert check.ok, check.to_text()
+        assert len(check.facts["static_sites"]) >= 15
         # The probe covers every kind; compaction and refill discards
         # are the easy ones to lose, so pin a few by name.
         for site in (
@@ -230,71 +216,68 @@ class TestStaticDynamicCrossCheck:
             "flowtable.evict",
             "world.inject",
         ):
-            assert site in check.dynamic_sites, site
+            assert site in check.facts["dynamic_sites"], site
 
     def test_unknown_dynamic_site_fails(self):
         check = san_cross_check(dynamic_sites=["engine.post", "bogus.site"])
         assert not check.ok
-        assert check.unknown == ["bogus.site"]
-        assert any("bogus.site" in line for line in check.render())
+        assert check.facts["unknown"] == ["bogus.site"]
+        assert any("bogus.site" in error for error in check.errors)
+        assert "bogus.site" in check.to_text()
 
     def test_unexercised_is_informational(self):
         check = san_cross_check(dynamic_sites=["engine.post"])
         assert check.ok
-        assert "heap.discard" in check.unexercised
+        assert "heap.discard" in check.facts["unexercised"]
 
 
 class TestUnifiedCheck:
-    """`repro check` runs the san gate alongside the other passes."""
+    """`repro check` runs the san rules alongside the other families."""
 
     def test_fixture_run_fails_san_only(self):
-        report = run_check([str(FIXTURES)])
-        assert not report.ok
-        by_name = {step.name: step for step in report.steps}
-        assert set(by_name) == {"lint", "flow", "order", "san", "mypy"}
-        assert not by_name["san"].ok
-        assert by_name["lint"].ok
-        assert by_name["flow"].ok
-        assert by_name["order"].ok
+        result = run_check([str(FIXTURES)])
+        assert not result.ok
+        assert {family_of(f.rule) for f in result.findings} == {"san"}
 
     def test_rule_filter_routes_to_owning_analyzer(self):
-        report = run_check([str(FIXTURES)], rule_ids=["OWN621"])
-        by_name = {step.name: step for step in report.steps}
-        assert not by_name["san"].ok
-        assert by_name["lint"].ok and by_name["flow"].ok and by_name["order"].ok
+        result = run_check([str(FIXTURES)], rule_ids=["OWN621"])
+        assert not result.ok
+        assert result.rules_run == ["OWN621"]
+        assert {f.rule for f in result.findings} == {"OWN621"}
 
 
 class TestCli:
-    def test_san_src_exits_zero(self, capsys):
-        assert main(["san", str(REPO_ROOT / "src")]) == 0
-        assert "clean" in capsys.readouterr().out
+    def test_san_src_exits_zero(self, src_check):
+        code, payload = src_check
+        assert code == 0
+        assert payload["findings"] == []
 
-    def test_san_fixtures_exits_one_with_json(self, capsys):
-        code = main(["san", str(FIXTURES), "--format", "json"])
+    def test_san_fixtures_exits_one_with_json(self):
+        code, payload = run_cli_json("check", FIXTURES)
         assert code == 1
-        payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert payload["counts_by_rule"]["OWN603"] == 3
         assert payload["counts_by_rule"]["OWN611"] == 4
 
-    def test_unknown_rule_exits_two(self, capsys):
-        code = main(["san", str(FIXTURES), "--rule", "BOGUS99"])
+    def test_unknown_rule_exits_two(self):
+        code, _, err = run_cli("check", FIXTURES, "--rule", "BOGUS99")
         assert code == 2
-        assert "BOGUS99" in capsys.readouterr().err
+        assert "BOGUS99" in err
 
-    def test_list_rules(self, capsys):
-        assert main(["san", "--list-rules"]) == 0
-        out = capsys.readouterr().out
+    def test_list_rules(self):
+        code, out, _ = run_cli("check", "--list-rules")
+        assert code == 0
         for rule_id in SAN_RULE_IDS:
             assert rule_id in out
 
-    def test_trace_exits_zero(self, capsys):
-        assert main(["san", "--trace"]) == 0
-        out = capsys.readouterr().out
+    def test_trace_exits_zero(self):
+        code, out, _ = run_cli("check", "--trace")
+        assert code == 0
         assert "static sites" in out
+        assert "sanitizer site cross-check OK" in out
 
-    def test_check_src_includes_san_step(self, capsys):
-        assert main(["check", str(REPO_ROOT / "src"), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_check_src_includes_san_step(self, src_check):
+        code, payload = src_check
+        assert code == 0
         assert payload["ok"] is True
-        assert "san" in [step["name"] for step in payload["steps"]]
+        assert set(SAN_RULE_IDS) <= set(payload["rules_run"])

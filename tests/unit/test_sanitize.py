@@ -9,8 +9,8 @@ Three layers, mirroring the module's contract:
   the lazy-cancellation discards and the raising-callback path;
 * non-interference — a sanitized golden run produces **byte-identical**
   trace documents (the ledger never schedules, never reads the clock),
-  and every site it reports is in the static catalog ``repro san``
-  scans for.
+  and every site it reports is in the static catalog
+  ``repro check --trace`` scans for.
 """
 
 import os
@@ -287,7 +287,7 @@ class TestGoldenByteIdentity:
             run_cluster_golden_scenario(spec)
             report = ledger.report()
         check = san_cross_check(dynamic_sites=report.sites())
-        assert check.ok, "\n".join(check.render())
+        assert check.ok, check.to_text()
 
 
 class TestHarnessOutcome:
