@@ -9,9 +9,6 @@ zero findings, which is the pass's false-positive budget.
 
 import json
 
-import pytest
-
-from repro.analysis.check import FAMILIES, analyze, rule_by_id
 from repro.analysis.flow.stagespec import (
     ALLOC,
     DROP_OPS,
@@ -22,18 +19,18 @@ from repro.analysis.flow.stagespec import (
     stage_order_spec,
 )
 from tests.unit.analyzer_kit import (
+    CliContract,
     FIXTURE_ROOT,
     REPO_ROOT,
+    RuleCatalogueContract,
     actual_findings as _actual_findings,
+    assert_family_clean,
     expected_fixture_findings as _expected,
     family_ids,
-    family_of,
-    run_cli,
     run_cli_json,
 )
 
 FIXTURES = FIXTURE_ROOT / "flow"
-FLOW_RULES = FAMILIES["flow"]
 FLOW_RULE_IDS = tuple(family_ids("flow"))
 
 
@@ -73,10 +70,7 @@ class TestSourceTreeIsClean:
     """Zero in-tree findings is the false-positive budget of the pass."""
 
     def test_src_flows_clean(self, src_check):
-        code, payload = src_check
-        assert code == 0 and payload["ok"], payload
-        assert set(FLOW_RULE_IDS) <= set(payload["rules_run"])
-        assert payload["files_checked"] > 50
+        assert_family_clean(src_check, "flow")
 
     def test_tests_tree_flows_clean(self):
         # Unit tests manipulate skbs and microsecond timestamps freely;
@@ -85,29 +79,13 @@ class TestSourceTreeIsClean:
         assert result.ok, result.to_text()
 
 
-class TestRuleCatalogue:
-    def test_registry_matches_rules(self):
-        assert FLOW_RULE_IDS == (
-            "FLOW401", "FLOW402", "FLOW403", "FLOW404", "TIME501", "TIME502",
-        )
-        assert {family_of(rule_id) for rule_id in FLOW_RULE_IDS} == {"flow"}
-
-    def test_rule_by_id(self):
-        for rule in FLOW_RULES:
-            assert rule_by_id(rule.id) is rule
-            assert rule.title and rule.rationale
-        assert rule_by_id("BOGUS99") is None
-
-    def test_single_rule_runs_alone(self):
-        result, actual = actual_findings([FIXTURES], rule_ids=["FLOW403"])
-        rules = {rule for _, _, rule in actual}
-        assert rules <= {"FLOW403", "LINT000", "LINT001"}
-        assert ("flow403_bad.py", 6, "FLOW403") in actual
-        assert not any(rule == "TIME501" for _, _, rule in actual)
-
-    def test_unknown_rule_id_raises(self):
-        with pytest.raises(ValueError, match="BOGUS99"):
-            analyze([str(FIXTURES)], rule_ids=["BOGUS99"])
+class TestRuleCatalogue(RuleCatalogueContract):
+    family = "flow"
+    rule_ids = (
+        "FLOW401", "FLOW402", "FLOW403", "FLOW404", "TIME501", "TIME502",
+    )
+    single = ("FLOW403", "flow403_bad.py", 6)
+    single_absent = "TIME501"
 
 
 class TestPragmaSuppression:
@@ -234,7 +212,9 @@ class TestInterproceduralSummaries:
         assert ("both.py", 6, "FLOW403") in actual
 
 
-class TestCli:
+class TestCli(CliContract):
+    family = "flow"
+
     def test_flow_src_exits_zero(self, src_check):
         code, payload = src_check
         assert code == 0
@@ -245,17 +225,6 @@ class TestCli:
         assert code == 1
         assert payload["ok"] is False
         assert payload["counts_by_rule"]["FLOW401"] == 3
-
-    def test_unknown_rule_exits_two(self):
-        code, _, err = run_cli("check", FIXTURES, "--rule", "BOGUS99")
-        assert code == 2
-        assert "BOGUS99" in err
-
-    def test_list_rules(self):
-        code, out, _ = run_cli("check", "--list-rules")
-        assert code == 0
-        for rule_id in FLOW_RULE_IDS:
-            assert rule_id in out
 
     def test_json_reporter_includes_suppressed(self, tmp_path):
         copy = tmp_path / "supp.py"

@@ -12,11 +12,15 @@ import json
 
 import pytest
 
-from repro.analysis.check import FAMILIES, analyze, rule_by_id, run_check
+from repro.analysis.check import run_check
 from repro.analysis.order.ordercheck import order_cross_check
 from tests.unit.analyzer_kit import (
+    CliContract,
     FIXTURE_ROOT,
+    RuleCatalogueContract,
+    UnifiedCheckContract,
     actual_findings as _actual_findings,
+    assert_family_clean,
     expected_fixture_findings as _expected,
     family_ids,
     family_of,
@@ -25,7 +29,6 @@ from tests.unit.analyzer_kit import (
 )
 
 FIXTURES = FIXTURE_ROOT / "order"
-ORDER_RULES = FAMILIES["order"]
 ORDER_RULE_IDS = tuple(family_ids("order"))
 
 
@@ -70,38 +73,14 @@ class TestSourceTreeIsClean:
     """
 
     def test_src_orders_clean(self, src_check):
-        code, payload = src_check
-        assert code == 0 and payload["ok"], payload
-        assert set(ORDER_RULE_IDS) <= set(payload["rules_run"])
-        assert not [
-            s for s in payload["suppressed"] if s["rule"] in ORDER_RULE_IDS
-        ]
-        assert payload["files_checked"] > 50
+        assert_family_clean(src_check, "order")
 
 
-class TestRuleCatalogue:
-    def test_registry_matches_rules(self):
-        assert ORDER_RULE_IDS == tuple(
-            f"ORD5{group}{n}" for group in "012" for n in "123"
-        )
-        assert {family_of(rule_id) for rule_id in ORDER_RULE_IDS} == {"order"}
-
-    def test_rule_by_id(self):
-        for rule in ORDER_RULES:
-            assert rule_by_id(rule.id) is rule
-            assert rule.title and rule.rationale
-        assert rule_by_id("BOGUS99") is None
-
-    def test_single_rule_runs_alone(self):
-        result, actual = actual_findings([FIXTURES], rule_ids=["ORD511"])
-        rules = {rule for _, _, rule in actual}
-        assert rules <= {"ORD511", "LINT000", "LINT001"}
-        assert ("ord51x_bad.py", 16, "ORD511") in actual
-        assert not any(rule == "ORD501" for _, _, rule in actual)
-
-    def test_unknown_rule_id_raises(self):
-        with pytest.raises(ValueError, match="BOGUS99"):
-            analyze([str(FIXTURES)], rule_ids=["BOGUS99"])
+class TestRuleCatalogue(RuleCatalogueContract):
+    family = "order"
+    rule_ids = tuple(f"ORD5{group}{n}" for group in "012" for n in "123")
+    single = ("ORD511", "ord51x_bad.py", 16)
+    single_absent = "ORD501"
 
 
 class TestMustAnalysisSemantics:
@@ -233,8 +212,11 @@ class TestOrderCrossCheck:
         assert payload["ok"] is True
 
 
-class TestUnifiedCheck:
+class TestUnifiedCheck(UnifiedCheckContract):
     """`repro check` runs every rule family in one pass."""
+
+    family = "order"
+    routed = "ORD521"
 
     def test_fixture_run_fails_order_only(self):
         result = run_check([str(FIXTURES)])
@@ -246,12 +228,6 @@ class TestUnifiedCheck:
         # silently absent.
         assert result.mypy is not None
         assert result.mypy.ok or not result.mypy.skipped
-
-    def test_rule_filter_routes_to_owning_analyzer(self):
-        result = run_check([str(FIXTURES)], rule_ids=["ORD521"])
-        assert not result.ok
-        assert result.rules_run == ["ORD521"]
-        assert {f.rule for f in result.findings} == {"ORD521"}
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="BOGUS99"):
@@ -269,7 +245,9 @@ class TestUnifiedCheck:
             assert set(finding) == {"path", "line", "col", "rule", "message"}
 
 
-class TestCli:
+class TestCli(CliContract):
+    family = "order"
+
     def test_order_src_exits_zero(self, src_check):
         code, payload = src_check
         assert code == 0
@@ -281,17 +259,6 @@ class TestCli:
         assert payload["ok"] is False
         assert payload["counts_by_rule"]["ORD511"] == 2
         assert payload["counts_by_rule"]["ORD502"] == 2
-
-    def test_unknown_rule_exits_two(self):
-        code, _, err = run_cli("check", FIXTURES, "--rule", "BOGUS99")
-        assert code == 2
-        assert "BOGUS99" in err
-
-    def test_list_rules(self):
-        code, out, _ = run_cli("check", "--list-rules")
-        assert code == 0
-        for rule_id in ORDER_RULE_IDS:
-            assert rule_id in out
 
     def test_trace_exits_zero_on_shipped_goldens(self):
         code, out, _ = run_cli("check", "--trace")

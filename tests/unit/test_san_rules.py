@@ -9,13 +9,15 @@ source must produce zero findings, which is the pass's false-positive
 budget.
 """
 
-import pytest
-
-from repro.analysis.check import FAMILIES, analyze, rule_by_id, run_check
+from repro.analysis.check import run_check
 from repro.analysis.san.sancheck import san_cross_check
 from tests.unit.analyzer_kit import (
+    CliContract,
     FIXTURE_ROOT,
+    RuleCatalogueContract,
+    UnifiedCheckContract,
     actual_findings as _actual_findings,
+    assert_family_clean,
     expected_fixture_findings as _expected,
     family_ids,
     family_of,
@@ -24,7 +26,6 @@ from tests.unit.analyzer_kit import (
 )
 
 FIXTURES = FIXTURE_ROOT / "san"
-SAN_RULES = FAMILIES["san"]
 SAN_RULE_IDS = tuple(family_ids("san"))
 
 
@@ -70,38 +71,14 @@ class TestSourceTreeIsClean:
     """
 
     def test_src_owns_clean(self, src_check):
-        code, payload = src_check
-        assert code == 0 and payload["ok"], payload
-        assert set(SAN_RULE_IDS) <= set(payload["rules_run"])
-        assert not [
-            s for s in payload["suppressed"] if s["rule"] in SAN_RULE_IDS
-        ]
-        assert payload["files_checked"] > 50
+        assert_family_clean(src_check, "san")
 
 
-class TestRuleCatalogue:
-    def test_registry_matches_rules(self):
-        assert SAN_RULE_IDS == tuple(
-            f"OWN6{group}{n}" for group in "012" for n in "123"
-        )
-        assert {family_of(rule_id) for rule_id in SAN_RULE_IDS} == {"san"}
-
-    def test_rule_by_id(self):
-        for rule in SAN_RULES:
-            assert rule_by_id(rule.id) is rule
-            assert rule.title and rule.rationale
-        assert rule_by_id("BOGUS99") is None
-
-    def test_single_rule_runs_alone(self):
-        result, actual = actual_findings([FIXTURES], rule_ids=["OWN601"])
-        rules = {rule for _, _, rule in actual}
-        assert rules <= {"OWN601", "LINT000", "LINT001"}
-        assert ("own60x_bad.py", 14, "OWN601") in actual
-        assert not any(rule == "OWN603" for _, _, rule in actual)
-
-    def test_unknown_rule_id_raises(self):
-        with pytest.raises(ValueError, match="BOGUS99"):
-            analyze([str(FIXTURES)], rule_ids=["BOGUS99"])
+class TestRuleCatalogue(RuleCatalogueContract):
+    family = "san"
+    rule_ids = tuple(f"OWN6{group}{n}" for group in "012" for n in "123")
+    single = ("OWN601", "own60x_bad.py", 14)
+    single_absent = "OWN603"
 
 
 class TestOwnershipSemantics:
@@ -231,22 +208,21 @@ class TestStaticDynamicCrossCheck:
         assert "heap.discard" in check.facts["unexercised"]
 
 
-class TestUnifiedCheck:
+class TestUnifiedCheck(UnifiedCheckContract):
     """`repro check` runs the san rules alongside the other families."""
+
+    family = "san"
+    routed = "OWN621"
 
     def test_fixture_run_fails_san_only(self):
         result = run_check([str(FIXTURES)])
         assert not result.ok
         assert {family_of(f.rule) for f in result.findings} == {"san"}
 
-    def test_rule_filter_routes_to_owning_analyzer(self):
-        result = run_check([str(FIXTURES)], rule_ids=["OWN621"])
-        assert not result.ok
-        assert result.rules_run == ["OWN621"]
-        assert {f.rule for f in result.findings} == {"OWN621"}
 
+class TestCli(CliContract):
+    family = "san"
 
-class TestCli:
     def test_san_src_exits_zero(self, src_check):
         code, payload = src_check
         assert code == 0
@@ -258,17 +234,6 @@ class TestCli:
         assert payload["ok"] is False
         assert payload["counts_by_rule"]["OWN603"] == 3
         assert payload["counts_by_rule"]["OWN611"] == 4
-
-    def test_unknown_rule_exits_two(self):
-        code, _, err = run_cli("check", FIXTURES, "--rule", "BOGUS99")
-        assert code == 2
-        assert "BOGUS99" in err
-
-    def test_list_rules(self):
-        code, out, _ = run_cli("check", "--list-rules")
-        assert code == 0
-        for rule_id in SAN_RULE_IDS:
-            assert rule_id in out
 
     def test_trace_exits_zero(self):
         code, out, _ = run_cli("check", "--trace")
