@@ -110,7 +110,7 @@ class StageOrderSpec:
         return f"rank{rank}"
 
     def describe(self) -> Dict[str, object]:
-        """JSON-friendly dump (the ``repro flow --dump-spec`` payload)."""
+        """JSON-friendly dump (the ``repro check --dump-spec`` payload)."""
         return {
             "stages": dict(sorted(self.stage_rank.items(), key=lambda kv: kv[1])),
             "edges": sorted(f"{a}->{b}" for a, b in self.edges),

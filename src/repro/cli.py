@@ -149,6 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
         "the static catalog of the paths",
     )
     check.add_argument(
+        "--dump-spec",
+        action="store_true",
+        help="print the derived stage-order spec (simflow) as JSON and exit",
+    )
+    check.add_argument(
         "--format", choices=["text", "json"], default="text", dest="fmt"
     )
     check.add_argument(
@@ -300,6 +305,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         if args.list_rules:
             print(check.catalogue())
+            return 0
+        if args.dump_spec:
+            import json as _json
+
+            from repro.analysis.flow.stagespec import stage_order_spec
+
+            print(_json.dumps(stage_order_spec().describe(), indent=2, sort_keys=True))
             return 0
         if args.trace is not None:
             checks = check.run_traces(args.trace, args.paths)

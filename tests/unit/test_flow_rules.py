@@ -18,6 +18,7 @@ from repro.analysis.flow.stagespec import (
     SOCKET,
     stage_order_spec,
 )
+from repro.cli import main
 from tests.unit.analyzer_kit import (
     CliContract,
     FIXTURE_ROOT,
@@ -225,6 +226,12 @@ class TestCli(CliContract):
         assert code == 1
         assert payload["ok"] is False
         assert payload["counts_by_rule"]["FLOW401"] == 3
+
+    def test_dump_spec(self, capsys):
+        assert main(["check", "--dump-spec"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stages"]["alloc"] == 0
+        assert "alloc->hardirq" in payload["edges"]
 
     def test_json_reporter_includes_suppressed(self, tmp_path):
         copy = tmp_path / "supp.py"
