@@ -24,7 +24,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Generic,
     Iterator,
     List,
     Optional,
@@ -132,22 +131,6 @@ def report_function(
     states = fixpoint(cfg, analysis_for(None))
     walk_block(cfg, states, analysis_for(report), lambda stmt, state: None)
     return states
-
-
-class SetLattice(Generic[S]):
-    """Helper mixin: join/compare for ``frozenset``-valued maps."""
-
-    @staticmethod
-    def join_maps(
-        a: Dict[str, frozenset], b: Dict[str, frozenset]
-    ) -> Dict[str, frozenset]:
-        if a == b:
-            return a
-        out: Dict[str, frozenset] = dict(a)
-        for key, value in b.items():
-            existing = out.get(key)
-            out[key] = value if existing is None else existing | value
-        return out
 
 
 def call_sites(stmt: ast.stmt) -> Iterator[Tuple[ast.Call, str]]:

@@ -1,6 +1,6 @@
 """Flow-cache entry-lifecycle rules (OWN621, OWN622, OWN623).
 
-``repro order`` (ORD521-523) guards *when* the cache may serve or
+The ORD521-523 rules (``repro check``) guard *when* the cache may serve or
 populate; these rules guard the *lifecycle of the entries themselves*:
 insert → hit → invalidate must be total, and every removal must release
 exactly once and be accounted exactly once.

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from tests.unit.analyzer_kit import REPO_ROOT, run_cli_json
+from tests.unit.analyzer_kit import REPO_ROOT, run_cli, run_cli_json
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +19,12 @@ def src_check():
         return run_cli_json("check", "src")
     finally:
         os.chdir(cwd)
+
+
+@pytest.fixture(scope="session")
+def trace_check():
+    """One ``repro check --trace`` text run over the shipped goldens:
+    ``(exit code, stdout)``. Each run replays every golden and the
+    sanitizer probe, so the per-family cross-check tests share it."""
+    code, out, _ = run_cli("check", "--trace")
+    return code, out

@@ -17,7 +17,6 @@ from tests.unit.analyzer_kit import (
     FIXTURE_ROOT,
     REPO_ROOT,
     actual_findings,
-    family_ids,
     family_of,
     run_cli,
     run_cli_json,
@@ -95,29 +94,15 @@ class TestRegistry:
             assert type(rule).__module__.startswith(package)
             assert family_of(rule.id) == family
 
-    def test_list_rules_names_every_rule_and_meta_rule(self):
+    def test_list_rules_names_the_meta_rules(self):
+        # Each family's own rows are checked by its CliContract binding.
         code, out, _ = run_cli("check", "--list-rules")
         assert code == 0
-        for family, rules in check.FAMILIES.items():
-            for rule in rules:
-                assert f"{rule.id}  [{family}]" in out
         assert "LINT000  [meta]" in out
         assert "LINT001  [meta]" in out
 
 
 class TestRuleSelection:
-    @pytest.mark.parametrize("family", FAMILY_NAMES)
-    def test_rule_from_any_family_runs_alone(self, family):
-        rule_id = family_ids(family)[0]
-        code, payload = run_cli_json(
-            "check", FIXTURE_ROOT / family, "--rule", rule_id
-        )
-        assert code == 1
-        assert payload["rules_run"] == [rule_id]
-        rules = {finding["rule"] for finding in payload["findings"]}
-        assert rule_id in rules
-        assert rules <= {rule_id, "LINT000", "LINT001"}
-
     def test_rules_from_two_families_run_together(self):
         code, payload = run_cli_json(
             "check", FIXTURE_ROOT, "--rule", "SIM101", "--rule", "OWN601"
@@ -137,7 +122,7 @@ class TestRuleSelection:
         assert code == 0, payload["baseline_errors"]
         assert [s["rule"] for s in payload["suppressed"]] == ["SIM102"]
 
-    def test_unknown_rule_exits_two(self):
+    def test_unknown_rule_beside_a_valid_one_exits_two(self):
         code, out, err = run_cli(
             "check", FIXTURE_ROOT, "--rule", "SIM101", "--rule", "NOPE000"
         )
@@ -153,17 +138,6 @@ class TestReports:
         assert code == 0
         assert "1 files clean" in out
         assert out.rstrip().endswith("check OK")
-
-    def test_trace_reports_three_cross_checks(self):
-        code, payload = run_cli_json("check", "--trace")
-        assert code == 0
-        assert [c["name"] for c in payload["checks"]] == [
-            "stage-edge cross-check",
-            "ordering cross-check",
-            "sanitizer site cross-check",
-        ]
-        for entry in payload["checks"]:
-            assert entry["ok"] is True and entry["errors"] == []
 
     def test_failed_mypy_gate_reports_every_error(
         self, tmp_path, monkeypatch

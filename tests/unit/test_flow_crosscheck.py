@@ -135,8 +135,8 @@ class TestCrossCheck:
 
 
 class TestCli:
-    def test_trace_default_goldens_exit_zero(self):
-        code, out, _ = run_cli("check", "--trace")
+    def test_trace_default_goldens_exit_zero(self, trace_check):
+        code, out = trace_check
         assert code == 0
         assert "stage-edge cross-check OK" in out
 
@@ -156,6 +156,12 @@ class TestCli:
         code, payload = run_cli_json("check", "--trace")
         assert code == 0
         assert payload["ok"] is True
+        assert [c["name"] for c in payload["checks"]] == [
+            "stage-edge cross-check",
+            "ordering cross-check",
+            "sanitizer site cross-check",
+        ]
+        for entry in payload["checks"]:
+            assert entry["ok"] is True and entry["errors"] == []
         stage_edges = payload["checks"][0]
-        assert stage_edges["name"] == "stage-edge cross-check"
         assert stage_edges["traces_replayed"] > 0

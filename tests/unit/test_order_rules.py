@@ -260,8 +260,8 @@ class TestCli(CliContract):
         assert payload["counts_by_rule"]["ORD511"] == 2
         assert payload["counts_by_rule"]["ORD502"] == 2
 
-    def test_trace_exits_zero_on_shipped_goldens(self):
-        code, out, _ = run_cli("check", "--trace")
+    def test_trace_exits_zero_on_shipped_goldens(self, trace_check):
+        code, out = trace_check
         assert code == 0
         assert "ordering cross-check OK" in out
 

@@ -21,7 +21,6 @@ from tests.unit.analyzer_kit import (
     expected_fixture_findings as _expected,
     family_ids,
     family_of,
-    run_cli,
     run_cli_json,
 )
 
@@ -235,8 +234,8 @@ class TestCli(CliContract):
         assert payload["counts_by_rule"]["OWN603"] == 3
         assert payload["counts_by_rule"]["OWN611"] == 4
 
-    def test_trace_exits_zero(self):
-        code, out, _ = run_cli("check", "--trace")
+    def test_trace_exits_zero(self, trace_check):
+        code, out = trace_check
         assert code == 0
         assert "static sites" in out
         assert "sanitizer site cross-check OK" in out
