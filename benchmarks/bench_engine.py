@@ -1,14 +1,10 @@
-"""Event-engine microbenchmarks: raw scheduler throughput.
+"""Event-engine microbenchmarks: raw event-queue throughput.
 
 Unlike the figure benches (simulation campaigns run once), these are
-true microbenchmarks of the event core: schedule/cancel churn against
-each scheduler implementation and the ``post_batch`` NAPI-storm
-pattern. They pin the performance-relevant *semantics* — both
-schedulers agree on the final clock and event count for the identical
-workload — while pytest-benchmark records the throughput.
+true microbenchmarks of the event core: schedule/cancel churn and the
+``post_batch`` NAPI-storm pattern, while pytest-benchmark records the
+throughput.
 """
-
-import pytest
 
 from repro.bench.suite import (
     _engine_churn,
@@ -20,25 +16,15 @@ from repro.bench.suite import (
 SEED = derive_bench_seed(0, "engine-churn-heap")
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_engine_churn(benchmark, quick, scheduler):
+def test_engine_churn(benchmark, quick):
     headline = benchmark.pedantic(
         _engine_churn,
-        args=(scheduler, SEED, True if quick else False),
+        args=(SEED, True if quick else False),
         rounds=1,
         iterations=1,
     )
-    assert headline["scheduler"] == scheduler
     assert headline["sim_events"] > 0
     assert headline["cancelled"] > 0
-
-
-def test_engine_churn_schedulers_agree(quick):
-    heap = _engine_churn("heap", SEED, quick)
-    calendar = _engine_churn("calendar", SEED, quick)
-    assert heap["final_clock_us"] == calendar["final_clock_us"]
-    assert heap["sim_events"] == calendar["sim_events"]
-    assert heap["cancelled"] == calendar["cancelled"]
 
 
 def test_engine_post_batch_storm(benchmark, quick):

@@ -3,8 +3,8 @@
 The engine's fire-and-forget path pools :class:`~repro.sim.events.Event`
 objects: ``post``/``post_at``/``post_batch`` acquire from a freelist,
 the event loop fires the callback, and ``_recycle`` returns the object.
-Lazy cancellation adds a second release route — the schedulers discard
-flagged entries during ``pop``/``peek``/compaction/refill. A pooled
+Lazy cancellation adds a second release route — the event queue discards
+flagged entries during ``pop``/``peek``/compaction. A pooled
 object with two owners (or none) breaks determinism silently: a
 double-released event serves two callbacks at once after the freelist
 hands it out twice, and a leaked one quietly degrades the pool.
@@ -352,7 +352,7 @@ class UseAfterReleaseRule(_EventRuleBase):
         "After _recycle the object belongs to the pool: its fn/args "
         "slots are neutralized and the next _acquire may rebind them at "
         "any moment. Queueing or touching it races that rebind — the "
-        "lazy-cancellation discard paths in the schedulers are release "
+        "lazy-cancellation discard paths in the event queue are release "
         "points too."
     )
 

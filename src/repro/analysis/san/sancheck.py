@@ -17,9 +17,9 @@ run never exercised is listed as *unexercised*, not failed, because no
 single scenario hits every discard path.
 
 ``repro check --trace`` runs :func:`dynamic_site_probe` (a few
-milliseconds of simulated time across both schedulers, a thrashed flow
-table and a two-host cluster ring) and cross-checks it; the sanitizer
-test tier does the same against full golden scenarios.
+milliseconds of simulated time through the event engine, a thrashed
+flow table and a two-host cluster ring) and cross-checks it; the
+sanitizer test tier does the same against full golden scenarios.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def static_site_catalog(paths: Sequence[str] = ("src",)) -> Set[str]:
 def dynamic_site_probe() -> Set[str]:
     """A small sanitized workout that touches every object kind.
 
-    Exercises: scheduled + posted events on both schedulers, lazy
+    Exercises: scheduled + posted events on the engine, lazy
     cancellation discards and compaction, flow-table insert / evict /
     invalidate churn, and the cross-shard record path of a tiny cluster
     ring. Returns the site tags the ledger saw.
@@ -74,17 +74,16 @@ def dynamic_site_probe() -> Set[str]:
     from repro.validate.sanitize import sanitizing
 
     with sanitizing() as ledger:
-        _probe_engine("heap")
-        _probe_engine("calendar")
+        _probe_engine()
         _probe_flowtable()
         _probe_cluster()
         return ledger.report().sites()
 
 
-def _probe_engine(scheduler: str) -> None:
+def _probe_engine() -> None:
     from repro.sim.engine import Simulator
 
-    sim = Simulator(scheduler)
+    sim = Simulator()
     hits: List[int] = []
     # Enough schedule/cancel churn to trip compaction: dead entries must
     # outnumber live ones past COMPACT_MIN_EVENTS (strictly, hence 320).
@@ -93,12 +92,6 @@ def _probe_engine(scheduler: str) -> None:
         sim.cancel(event)
     sim.post(1.0, hits.append, -1)
     sim.post_batch(2.0, hits.append, [(-2,), (-3,)])
-    if scheduler == "calendar":
-        # Far beyond the wheel horizon, then cancelled: exercises the
-        # overflow refill's dead-entry discard.
-        far = [sim.schedule(10_000.0 + i, hits.append, i) for i in range(4)]
-        for event in far[::2]:
-            sim.cancel(event)
     sim.run()
 
 

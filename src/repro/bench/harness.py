@@ -26,7 +26,7 @@ from repro.bench.suite import derive_bench_seed, execute, specs_for
 # The tree's single sanctioned wall-clock read (epoch seconds); reused
 # here for self-timing so the bench harness adds no new SIM101 escape.
 from repro.experiments.run_all import wall_seconds
-from repro.sim.engine import SCHEDULER_ENV_VAR, global_events_processed
+from repro.sim.engine import global_events_processed
 
 
 def utc_stamp() -> Tuple[str, str]:
@@ -40,13 +40,12 @@ def utc_stamp() -> Tuple[str, str]:
 
 
 #: One unit of work shipped to a worker process.
-_Payload = Tuple[str, str, int, bool, str]
+_Payload = Tuple[str, str, int, bool]
 
 
 def _worker_run(payload: _Payload) -> Dict[str, Any]:
     """Run one benchmark in this process and measure it."""
-    name, kind, seed, quick, scheduler = payload
-    os.environ[SCHEDULER_ENV_VAR] = scheduler
+    name, kind, seed, quick = payload
     record: Dict[str, Any] = {"name": name, "kind": kind, "seed": seed}
     events_before = global_events_processed()
     started = wall_seconds()
@@ -75,7 +74,6 @@ def run_bench(
     workers: Optional[int] = None,
     only: Optional[List[str]] = None,
     root_seed: int = 0,
-    scheduler: str = "heap",
 ) -> Dict[str, Any]:
     """Run the suite and return the (schema-valid) benchmark document."""
     specs = specs_for(quick=quick, only=only)
@@ -84,8 +82,7 @@ def run_bench(
 
     def payload_for(spec: Any) -> _Payload:
         return (
-            spec.name, spec.kind, derive_bench_seed(root_seed, spec.name),
-            quick, scheduler,
+            spec.name, spec.kind, derive_bench_seed(root_seed, spec.name), quick
         )
 
     # Benchmarks that spawn their own shard workers cannot run inside
@@ -105,17 +102,7 @@ def run_bench(
             mp = multiprocessing.get_context("spawn")
             with mp.Pool(processes=workers) as pool:
                 results.extend(pool.map(_worker_run, pooled))
-    if inline:
-        # Inline path shares this process: restore the scheduler env var
-        # so a bench run can't leak selection into the caller's world.
-        previous = os.environ.get(SCHEDULER_ENV_VAR)
-        try:
-            results.extend(_worker_run(payload) for payload in inline)
-        finally:
-            if previous is None:
-                os.environ.pop(SCHEDULER_ENV_VAR, None)
-            else:
-                os.environ[SCHEDULER_ENV_VAR] = previous
+    results.extend(_worker_run(payload) for payload in inline)
     results.sort(key=lambda record: order[record["name"]])
     total_wall = wall_seconds() - started
     created, _stamp = utc_stamp()
@@ -126,7 +113,6 @@ def run_bench(
         "quick": quick,
         "workers": workers,
         "root_seed": root_seed,
-        "scheduler": scheduler,
         "benchmarks": results,
         "totals": {
             "wall_s": round(total_wall, 4),

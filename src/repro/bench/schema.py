@@ -35,7 +35,6 @@ _TOP_FIELDS = (
     ("quick", bool),
     ("workers", int),
     ("root_seed", int),
-    ("scheduler", str),
     ("benchmarks", list),
     ("totals", dict),
 )

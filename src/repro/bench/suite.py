@@ -4,8 +4,7 @@ Four kinds of benchmark, probing four layers:
 
 * ``engine`` — event-core microbenches driving one
   :class:`~repro.sim.engine.Simulator` directly: schedule/cancel churn
-  against each scheduler implementation, and a ``post_batch`` NAPI-storm
-  pattern. These isolate raw events/sec.
+  and a ``post_batch`` NAPI-storm pattern. These isolate raw events/sec.
 * ``scenario`` — sockperf-style :class:`~repro.workloads.sockperf.Testbed`
   runs covering all four datapath regimes (vanilla, Falcon, ONCache,
   ONCache+Falcon, plus TCP stream Falcon): the whole stack, one host,
@@ -75,7 +74,6 @@ def all_specs() -> List[BenchSpec]:
     """The full suite, in deterministic order."""
     specs = [
         BenchSpec("engine-churn-heap", "engine", True),
-        BenchSpec("engine-churn-calendar", "engine", True),
         BenchSpec("engine-post-batch-storm", "engine", True),
         BenchSpec("scenario-udp-stress-vanilla", "scenario", True),
         BenchSpec("scenario-udp-stress-falcon", "scenario", True),
@@ -129,15 +127,14 @@ def _sink() -> None:
     """Do-nothing event payload for engine microbenches."""
 
 
-def _engine_churn(scheduler: str, seed: int, quick: bool) -> Dict[str, Any]:
-    """Self-sustaining schedule/cancel churn against one scheduler.
+def _engine_churn(seed: int, quick: bool) -> Dict[str, Any]:
+    """Self-sustaining schedule/cancel churn against the event queue.
 
-    90% of events land in the near future (the packet-run distribution
-    the calendar queue is tuned for), 10% far out; a third of ticks also
-    schedule a cancellable timer, half of which are cancelled — the
-    lazy-cancellation-plus-compaction path.
+    90% of events land in the near future (the packet-run distribution),
+    10% far out; a third of ticks also schedule a cancellable timer, half
+    of which are cancelled — the lazy-cancellation-plus-compaction path.
     """
-    sim = Simulator(scheduler)
+    sim = Simulator()
     rng = RngRegistry(seed).stream("bench/churn")
     remaining = 20_000 if quick else 200_000
     cancels = 0
@@ -162,7 +159,6 @@ def _engine_churn(scheduler: str, seed: int, quick: bool) -> Dict[str, Any]:
         sim.post(rng.random(), tick)
     sim.run()
     return {
-        "scheduler": scheduler,
         "final_clock_us": round(sim.now, 3),
         "cancelled": cancels,
         "sim_events": sim.events_processed,
@@ -363,9 +359,7 @@ def _figure(name: str, quick: bool) -> Dict[str, Any]:
 def execute(name: str, seed: int, quick: bool) -> Dict[str, Any]:
     """Run one benchmark by name; returns its headline metrics."""
     if name == "engine-churn-heap":
-        return _engine_churn("heap", seed, quick)
-    if name == "engine-churn-calendar":
-        return _engine_churn("calendar", seed, quick)
+        return _engine_churn(seed, quick)
     if name == "engine-post-batch-storm":
         return _engine_post_batch_storm(seed, quick)
     if name.startswith("scenario-"):

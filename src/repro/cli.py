@@ -190,12 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--seed", type=int, default=0, help="root seed")
     bench.add_argument(
-        "--scheduler",
-        choices=["heap", "calendar"],
-        default="heap",
-        help="event-scheduler implementation benchmarks run under",
-    )
-    bench.add_argument(
         "--check",
         default=None,
         metavar="FILE",
@@ -249,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--window", type=int, default=8, help="TCP messages in flight"
     )
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument(
-        "--scheduler", choices=["heap", "calendar"], default="heap"
-    )
     cluster.add_argument("--falcon", action="store_true", help="enable Falcon")
     cluster.add_argument("--bandwidth", type=float, default=10.0, help="link Gbps")
     cluster.add_argument(
@@ -412,7 +403,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 workers=args.workers,
                 only=only,
                 root_seed=args.seed,
-                scheduler=args.scheduler,
             )
         except ValueError as exc:
             print(f"repro bench: {exc}", file=sys.stderr)
@@ -449,7 +439,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             num_hosts=args.hosts,
             message_size=args.size,
             seed=args.seed,
-            scheduler=args.scheduler,
             falcon=args.falcon,
             bandwidth_gbps=args.bandwidth,
             propagation_us=args.propagation_us,

@@ -25,7 +25,7 @@ wire segments that took the fast path) so every pipeline exit —
 delivery, backlog drop, defrag timeout — can release exactly the slow
 reservations it retires.
 
-The gate's typestate is enforced statically by ``repro order``
+The gate's typestate is enforced statically by ``repro check``
 (ORD521-523): :meth:`FlowTable.access`, :meth:`FlowTable.insert`,
 :meth:`FlowTable.hit_or_populate` and :meth:`FlowCache.delivered` are
 the *sanctioned* surface — the only places allowed to populate entries

@@ -10,7 +10,7 @@ Figures 5, 6, 9a, 11 and 19 of the paper do.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 #: Execution contexts, ordered by dispatch priority (lower = higher prio).
 HARDIRQ = 0
@@ -21,49 +21,60 @@ CONTEXT_NAMES = {HARDIRQ: "hardirq", SOFTIRQ: "softirq", USER: "user"}
 
 
 class CpuAccounting:
-    """Accumulates busy microseconds keyed by (cpu, label) and (cpu, context)."""
+    """Accumulates busy microseconds keyed by (cpu, context, label).
+
+    A charge updates one dict entry. The per-CPU, per-context and
+    per-label views are summed from that dict when asked; only window
+    reports and tests ask, so the hot path never pays for them.
+    """
 
     def __init__(self) -> None:
-        self._by_label: Dict[Tuple[int, str], float] = {}
-        self._by_context: Dict[Tuple[int, int], float] = {}
-        self._busy_by_cpu: Dict[int, float] = {}
+        self._busy: Dict[Tuple[int, int, str], float] = {}
 
     def charge(self, cpu: int, context: int, label: str, duration: float) -> None:
         """Attribute ``duration`` µs of busy time."""
-        key = (cpu, label)
-        self._by_label[key] = self._by_label.get(key, 0.0) + duration
-        ckey = (cpu, context)
-        self._by_context[ckey] = self._by_context.get(ckey, 0.0) + duration
-        self._busy_by_cpu[cpu] = self._busy_by_cpu.get(cpu, 0.0) + duration
+        key = (cpu, context, label)
+        self._busy[key] = self._busy.get(key, 0.0) + duration
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _sum(
+        self, cpu: int, context: Optional[int] = None, label: Optional[str] = None
+    ) -> float:
+        total = 0.0
+        for (key_cpu, key_context, key_label), value in self._busy.items():
+            if (
+                key_cpu == cpu
+                and (context is None or key_context == context)
+                and (label is None or key_label == label)
+            ):
+                total += value
+        return total
+
     def busy_us(self, cpu: int) -> float:
-        return self._busy_by_cpu.get(cpu, 0.0)
+        return self._sum(cpu)
 
     def busy_us_label(self, cpu: int, label: str) -> float:
-        return self._by_label.get((cpu, label), 0.0)
+        return self._sum(cpu, label=label)
 
     def busy_us_context(self, cpu: int, context: int) -> float:
-        return self._by_context.get((cpu, context), 0.0)
+        return self._sum(cpu, context=context)
 
     def total_by_label(self) -> Dict[str, float]:
         """Busy µs per label summed over all CPUs (flamegraph view)."""
         totals: Dict[str, float] = {}
-        for (_cpu, label), value in self._by_label.items():
+        for (_cpu, _context, label), value in self._busy.items():
             totals[label] = totals.get(label, 0.0) + value
         return totals
 
     def cpus(self) -> Iterable[int]:
-        return sorted(self._busy_by_cpu)
+        return sorted({cpu for cpu, _context, _label in self._busy})
 
     def snapshot(self) -> "CpuAccounting":
         """Deep copy for window-boundary bookkeeping."""
         copy = CpuAccounting()
-        copy._by_label = dict(self._by_label)
-        copy._by_context = dict(self._by_context)
-        copy._busy_by_cpu = dict(self._busy_by_cpu)
+        copy._busy = dict(self._busy)
         return copy
 
 

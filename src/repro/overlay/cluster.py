@@ -103,7 +103,6 @@ class ClusterSpec:
     num_hosts: int
     flows: Tuple[ClusterFlow, ...]
     seed: int = 0
-    scheduler: str = "heap"
     falcon: bool = False
     num_cpus: int = 8
     bandwidth_gbps: float = 10.0
@@ -158,7 +157,6 @@ class ClusterSpec:
             self.num_hosts,
             tuple(flow.to_wire() for flow in self.flows),
             self.seed,
-            self.scheduler,
             self.falcon,
             self.num_cpus,
             self.bandwidth_gbps,
@@ -471,7 +469,7 @@ class ClusterWorld:
     def __init__(self, spec: ClusterSpec, hosts: Sequence[int]) -> None:
         spec.validate()
         self.spec = spec
-        self.sim = Simulator(spec.scheduler)
+        self.sim = Simulator()
         #: Ownership ledger hook (REPRO_SANITIZE=1); None in normal runs.
         self._san: Optional[Any] = None
         if os.environ.get("REPRO_SANITIZE"):
@@ -832,7 +830,6 @@ def run_cluster(
                 "scenario": "cluster",
                 "num_hosts": spec.num_hosts,
                 "seed": spec.seed,
-                "scheduler": spec.scheduler,
                 "falcon": spec.falcon,
                 "flows": [list(flow.to_wire()) for flow in spec.flows],
                 "warmup_us": spec.warmup_us,

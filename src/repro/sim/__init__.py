@@ -16,12 +16,7 @@ from repro.sim.context import SimContext
 from repro.sim.engine import Event, Simulator, global_events_processed
 from repro.sim.errors import SimulationError
 from repro.sim.rng import RngRegistry
-from repro.sim.scheduler import (
-    CalendarScheduler,
-    HeapScheduler,
-    Scheduler,
-    make_scheduler,
-)
+from repro.sim.scheduler import HeapScheduler
 from repro.sim.stats import (
     Counter,
     Histogram,
@@ -41,10 +36,7 @@ __all__ = [
     "SimContext",
     "SimulationError",
     "RngRegistry",
-    "Scheduler",
     "HeapScheduler",
-    "CalendarScheduler",
-    "make_scheduler",
     "global_events_processed",
     "Counter",
     "Histogram",

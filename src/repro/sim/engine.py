@@ -1,24 +1,19 @@
 """Deterministic discrete-event simulation engine.
 
-The engine is an event loop over a pluggable priority queue: events are
+The engine is an event loop over one binary heap: events are
 ``(time, sequence)``-ordered callbacks held by a
-:class:`~repro.sim.scheduler.Scheduler`. Determinism matters — two runs
-with the same seed must produce identical results, so ties in event time
-are broken by insertion order, never by object identity, and every
-scheduler implementation honours that ordering exactly.
+:class:`~repro.sim.scheduler.HeapScheduler`. Determinism matters — two
+runs with the same seed must produce identical results, so ties in event
+time are broken by insertion order, never by object identity.
 
 Design notes
 ------------
 * Events are lightweight ``__slots__`` objects so that per-packet work
   (which can mean hundreds of thousands of events per run) stays cheap.
-* The queue implementation is chosen per :class:`Simulator` — by name
-  (``"heap"`` or ``"calendar"``), by instance, or from the
-  ``REPRO_SIM_SCHEDULER`` environment variable (default ``"heap"``).
-  All implementations produce identical event orders.
 * Cancellation is lazy: a cancelled event stays queued and is skipped
-  when popped. This keeps :meth:`Simulator.cancel` O(1); the scheduler
+  when popped. This keeps :meth:`Simulator.cancel` O(1); the queue
   compacts itself when dead entries dominate, so schedule-and-cancel
-  workloads no longer grow the queue without bound.
+  workloads do not grow it without bound.
 * Fire-and-forget callers that never cancel should prefer
   :meth:`Simulator.post` / :meth:`Simulator.post_at` /
   :meth:`Simulator.post_batch` over ``schedule``: no handle escapes, so
@@ -31,16 +26,13 @@ Design notes
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event
-from repro.sim.scheduler import Scheduler, make_scheduler
+from repro.sim.scheduler import HeapScheduler
 
 __all__ = ["Event", "Simulator", "global_events_processed", "note_external_events"]
-
-#: Environment variable consulted when no scheduler is passed explicitly.
-SCHEDULER_ENV_VAR = "REPRO_SIM_SCHEDULER"
 
 #: Upper bound on recycled Event objects kept per simulator.
 _FREELIST_CAP = 4096
@@ -87,13 +79,9 @@ class Simulator:
     5.0
     """
 
-    def __init__(self, scheduler: Union[str, Scheduler, None] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        if scheduler is None:
-            scheduler = os.environ.get(SCHEDULER_ENV_VAR, "heap")
-        if isinstance(scheduler, str):
-            scheduler = make_scheduler(scheduler)
-        self._scheduler: Scheduler = scheduler
+        self._scheduler = HeapScheduler()
         self._seq: int = 0
         self._halted: bool = False
         self._freelist: List[Event] = []
@@ -107,16 +95,15 @@ class Simulator:
             from repro.validate.sanitize import current_ledger
 
             self._san = current_ledger()
-            if self._san is not None and hasattr(type(self._scheduler), "_san"):
-                self._scheduler._san = self._san
+            self._scheduler._san = self._san
         #: Optional :class:`repro.validate.InvariantMonitor` hook. When
         #: None (the default) the event loop pays one attribute check per
         #: event and nothing else.
         self.monitor: Optional[Any] = None
 
     @property
-    def scheduler(self) -> Scheduler:
-        """The priority queue backing this simulator."""
+    def scheduler(self) -> HeapScheduler:
+        """The event queue backing this simulator."""
         return self._scheduler
 
     # ------------------------------------------------------------------
@@ -172,7 +159,7 @@ class Simulator:
         ``args_list`` order (sequence numbers are assigned in iteration
         order). Built for NAPI poll storms, where a single poll round
         fans tens of per-packet continuations into the queue: the
-        scheduler gets them as one bulk insert. Returns the number of
+        queue gets them as one bulk insert. Returns the number of
         events queued.
         """
         if delay < 0:
@@ -186,7 +173,7 @@ class Simulator:
         """Cancel a pending event (no-op if it already ran)."""
         if event.queued and not event.cancelled:
             event.cancelled = True
-            self._scheduler.note_cancel(event)
+            self._scheduler.note_cancel()
 
     def _acquire(self, time: float, fn: Callable[..., Any], args: Tuple[Any, ...]) -> Event:
         """Build a recyclable event, reusing a freelisted one if possible."""

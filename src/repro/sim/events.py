@@ -1,6 +1,6 @@
-"""The scheduled-callback record shared by the engine and its schedulers.
+"""The scheduled-callback record shared by the engine and its event queue.
 
-Split out of :mod:`repro.sim.engine` so scheduler implementations
+Split out of :mod:`repro.sim.engine` so the queue
 (:mod:`repro.sim.scheduler`) can type against :class:`Event` without a
 circular import.
 """
@@ -15,11 +15,11 @@ class Event:
 
     Instances are returned by :meth:`~repro.sim.engine.Simulator.schedule`
     and can be passed to :meth:`~repro.sim.engine.Simulator.cancel`. They
-    order by ``(time, seq)`` which is what the scheduler requires.
+    order by ``(time, seq)`` which is what the event queue requires.
 
     Two bookkeeping flags support the engine's hot path and are not part
     of the public surface: ``queued`` tracks whether the event currently
-    sits in a scheduler (so cancel-after-fire cannot corrupt compaction
+    sits in the event queue (so cancel-after-fire cannot corrupt compaction
     accounting), and ``reusable`` marks events created through the
     no-handle ``post*`` APIs, which the engine may recycle through its
     freelist once they have run.

@@ -20,7 +20,7 @@ simulator. ``src`` and ``dst`` are *global host indexes* (not shard
 indexes): the merge key must not change when the host→shard partition
 does, or N-shard runs could not be byte-identical to the 1-shard run.
 
-``repro order`` enforces the construction discipline statically
+``repro check`` enforces the construction discipline statically
 (ORD513): a :class:`CrossShardEvent` may be built only here, in an
 ``emit`` method (which owns the per-source seq counter), or in
 ``from_wire`` (which re-validates every field) — an ad-hoc record

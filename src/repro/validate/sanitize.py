@@ -1,4 +1,4 @@
-"""Runtime ownership sanitizer: the dynamic side of ``repro san``.
+"""Runtime ownership sanitizer: the dynamic side of ``repro check``.
 
 The static pass (:mod:`repro.analysis.san`) proves ownership discipline
 over the *source*; this module checks it over an actual *run*. A shadow
@@ -7,7 +7,7 @@ kinds of owned objects the reproduction moves across boundaries:
 
 ``event``       pooled/scheduled :class:`~repro.sim.events.Event`
                 objects — acquired when minted (``schedule_at`` /
-                ``_acquire``), released when fired or when a scheduler
+                ``_acquire``), released when fired or when the event queue
                 discards a cancelled entry lazily.
 ``flow_entry``  flow-cache entries — acquired at
                 :meth:`~repro.kernel.flowcache.FlowTable.insert`,

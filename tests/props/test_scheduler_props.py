@@ -1,21 +1,26 @@
-"""Property tests: the two scheduler implementations are observationally equal.
+"""Property tests: the event engine honours its ordering contract.
 
-The calendar queue is only admissible because it is *indistinguishable*
-from the binary heap: same fire order, same clocks, same
-``events_processed`` for any schedule/cancel/run sequence. These tests
-drive both implementations with identical programs — hypothesis-generated
-op lists and seeded self-sustaining churn (the ``repro bench`` workload
-shape) — and compare the full traces.
+Every program — hypothesis-generated op lists and seeded self-sustaining
+churn (the ``repro bench`` workload shape, with far-future delays and
+heavy lazy cancellation driving the queue through compaction) — runs on
+one simulator that numbers each event in scheduling order. The fired
+trace must then satisfy the engine's spec:
+
+* events fire in non-decreasing time, each at its due time;
+* ties in time fire in scheduling order;
+* every live event fires exactly once, and no cancelled event fires;
+* ``run(until=t)`` followed by ``run()`` gives the trace of one ``run()``.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.scheduler as scheduler_module
 from repro.sim.engine import Simulator
-from repro.sim.scheduler import SCHEDULER_NAMES
 
 _DELAY = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
 
@@ -24,102 +29,158 @@ _OP = st.one_of(
     st.tuples(st.just("post"), _DELAY),
     st.tuples(st.just("post_at"), _DELAY),
     # spawn: an event that, when fired, posts a child — exercises pushes
-    # below the calendar cursor after the clock has advanced.
+    # after the clock has advanced.
     st.tuples(st.just("spawn"), _DELAY, st.floats(0.0, 50.0, allow_nan=False)),
     st.tuples(st.just("batch"), _DELAY, st.integers(1, 8)),
     st.tuples(st.just("cancel"), st.integers(0, 10_000)),
 )
 
 
-def _run_program(scheduler, ops):
-    """Apply one op sequence to a fresh simulator; return its full trace."""
-    sim = Simulator(scheduler)
-    trace = []
-    handles = []
+class _Probe:
+    """One simulator whose events carry their scheduling index."""
 
-    def fire(tag):
-        trace.append((sim.now, tag))
+    def __init__(self):
+        self.sim = Simulator()
+        #: ``(fire time, scheduling index)`` per fired event.
+        self.trace = []
+        #: scheduling index -> due time.
+        self.due = {}
+        self.cancelled = set()
+        self.handles = []
 
-    def spawn(tag, child_delay):
-        trace.append((sim.now, tag))
-        sim.post(child_delay, fire, ("child", tag))
+    def _number(self, time):
+        index = len(self.due)
+        self.due[index] = time
+        return index
 
-    for tag, op in enumerate(ops):
+    def fire(self, index):
+        self.trace.append((self.sim.now, index))
+
+    def schedule(self, delay, fn=None, *args):
+        index = self._number(self.sim.now + delay)
+        handle = self.sim.schedule(delay, fn or self.fire, index, *args)
+        self.handles.append((index, handle))
+        return handle
+
+    def post(self, delay, fn=None, *args):
+        index = self._number(self.sim.now + delay)
+        self.sim.post(delay, fn or self.fire, index, *args)
+
+    def post_at(self, time):
+        self.sim.post_at(time, self.fire, self._number(time))
+
+    def post_batch(self, delay, count):
+        time = self.sim.now + delay
+        self.sim.post_batch(
+            delay, self.fire, [(self._number(time),) for _ in range(count)]
+        )
+
+    def cancel(self, position):
+        index, handle = self.handles[position % len(self.handles)]
+        if handle.queued:
+            self.cancelled.add(index)
+        self.sim.cancel(handle)
+
+    def assert_spec(self):
+        """The fired trace honours the engine's ordering contract."""
+        # Non-decreasing time with ties in scheduling order, in one check.
+        assert self.trace == sorted(self.trace)
+        assert all(time == self.due[index] for time, index in self.trace)
+        fired = Counter(index for _time, index in self.trace)
+        assert all(count == 1 for count in fired.values())
+        assert not self.cancelled & set(fired)
+        assert set(fired) == set(self.due) - self.cancelled
+        assert self.sim.events_processed == len(self.trace)
+
+
+def _load_program(ops):
+    """Apply one op sequence to a fresh probe, without running it."""
+    probe = _Probe()
+
+    def spawn(index, child_delay):
+        probe.fire(index)
+        probe.post(child_delay)
+
+    for op in ops:
         kind = op[0]
         if kind == "schedule":
-            handles.append(sim.schedule(op[1], fire, tag))
+            probe.schedule(op[1])
         elif kind == "post":
-            sim.post(op[1], fire, tag)
+            probe.post(op[1])
         elif kind == "post_at":
-            sim.post_at(op[1], fire, tag)
+            probe.post_at(op[1])
         elif kind == "spawn":
-            sim.post(op[1], spawn, tag, op[2])
+            probe.post(op[1], spawn, op[2])
         elif kind == "batch":
-            sim.post_batch(op[1], fire, [((tag, i),) for i in range(op[2])])
-        elif kind == "cancel" and handles:
-            sim.cancel(handles[op[1] % len(handles)])
-    sim.run()
-    return trace, sim.now, sim.events_processed
+            probe.post_batch(op[1], op[2])
+        elif kind == "cancel" and probe.handles:
+            probe.cancel(op[1])
+    return probe
 
 
 @given(st.lists(_OP, max_size=120))
 @settings(max_examples=60, deadline=None)
-def test_heap_and_calendar_traces_identical(ops):
-    results = [_run_program(name, ops) for name in SCHEDULER_NAMES]
-    assert results[0] == results[1]
+def test_programs_fire_in_spec_order(ops):
+    probe = _load_program(ops)
+    probe.sim.run()
+    probe.assert_spec()
 
 
-@given(st.lists(_DELAY, max_size=80), st.floats(0.0, 2000.0, allow_nan=False))
+@given(st.lists(_OP, max_size=120), st.floats(0.0, 2000.0, allow_nan=False))
 @settings(max_examples=40, deadline=None)
-def test_run_until_agrees_across_schedulers(delays, bound):
-    outcomes = []
-    for name in SCHEDULER_NAMES:
-        sim = Simulator(name)
-        fired = []
-        for tag, delay in enumerate(delays):
-            sim.post(delay, lambda t=tag: fired.append((sim.now, t)))
-        sim.run(until=bound)
-        mid = (list(fired), sim.now, sim.pending())
-        sim.run()
-        outcomes.append((mid, list(fired), sim.now, sim.events_processed))
-    assert outcomes[0] == outcomes[1]
+def test_run_until_then_run_equals_single_run(ops, bound):
+    whole = _load_program(ops)
+    whole.sim.run()
+    split = _load_program(ops)
+    split.sim.run(until=bound)
+    assert all(time <= bound for time, _index in split.trace)
+    assert split.sim.now == bound
+    split.sim.run()
+    split.assert_spec()
+    assert split.trace == whole.trace
+    # The clock never runs backwards past the bound it was taken to.
+    assert split.sim.now == max(whole.sim.now, bound)
+    assert split.sim.events_processed == whole.sim.events_processed
+
+
+def _churn(seed, bound=None):
+    """The bench churn shape: self-sustaining ticks + cancellable timers.
+
+    One tick in ten lands far in the future and 80% of the timers are
+    cancelled: lazy-cancel discards and, with a lowered threshold,
+    compaction rebuilds.
+    """
+    probe = _Probe()
+    rng = random.Random(seed)
+    remaining = 2_000
+
+    def tick(index):
+        nonlocal remaining
+        probe.fire(index)
+        if remaining <= 0:
+            return
+        remaining -= 1
+        delay = rng.random() * 4.0 if rng.random() < 0.9 else 400.0 + rng.random() * 600.0
+        probe.post(delay, tick)
+        if rng.random() < 0.5:
+            probe.schedule(rng.random() * 50.0)
+            if rng.random() < 0.8:
+                probe.cancel(-1)
+
+    for _ in range(16):
+        probe.post(rng.random(), tick)
+    if bound is not None:
+        probe.sim.run(until=bound)
+    probe.sim.run()
+    return probe
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1337])
-def test_seeded_churn_identical_across_schedulers(seed):
-    """The bench churn shape: self-sustaining ticks + cancellable timers.
-
-    Heavy lazy cancellation drives both implementations through their
-    compaction paths; the far-future delays drive the calendar queue
-    through its overflow/rebase path.
-    """
-
-    def churn(scheduler):
-        sim = Simulator(scheduler)
-        rng = random.Random(seed)
-        trace = []
-        remaining = 2_000
-
-        def fire(tag):
-            trace.append((sim.now, tag))
-
-        def tick():
-            nonlocal remaining
-            trace.append((sim.now, "tick"))
-            if remaining <= 0:
-                return
-            remaining -= 1
-            delay = rng.random() * 4.0 if rng.random() < 0.9 else 400.0 + rng.random() * 600.0
-            sim.post(delay, tick)
-            if rng.random() < 0.5:
-                handle = sim.schedule(rng.random() * 50.0, fire, remaining)
-                if rng.random() < 0.8:
-                    sim.cancel(handle)
-
-        for _ in range(16):
-            sim.post(rng.random(), tick)
-        sim.run()
-        return trace, sim.now, sim.events_processed
-
-    results = [churn(name) for name in SCHEDULER_NAMES]
-    assert results[0] == results[1]
+def test_seeded_churn_fires_in_spec_order(seed, monkeypatch):
+    monkeypatch.setattr(scheduler_module, "COMPACT_MIN_EVENTS", 16)
+    whole = _churn(seed)
+    whole.assert_spec()
+    assert whole.cancelled, "churn cancelled nothing"
+    split = _churn(seed, bound=whole.sim.now / 2)
+    split.assert_spec()
+    assert split.trace == whole.trace

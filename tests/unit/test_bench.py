@@ -69,7 +69,6 @@ def _valid_doc():
         "quick": True,
         "workers": 1,
         "root_seed": 0,
-        "scheduler": "heap",
         "benchmarks": [
             {
                 "name": "engine-churn-heap",
@@ -94,6 +93,8 @@ def _valid_doc():
 
 def test_schema_accepts_valid_doc():
     assert validate_bench_doc(_valid_doc()) == []
+    # Extra top-level keys (older documents carried "scheduler") are ignored.
+    assert validate_bench_doc({**_valid_doc(), "scheduler": "heap"}) == []
 
 
 def test_schema_rejects_non_object():
@@ -147,7 +148,6 @@ def test_run_bench_inline_produces_valid_doc(tmp_path):
         workers=1,
         only=["engine-churn-heap", "engine-post-batch-storm"],
         root_seed=3,
-        scheduler="heap",
     )
     assert validate_bench_doc(doc) == []
     assert doc["root_seed"] == 3
@@ -170,21 +170,6 @@ def test_run_bench_headlines_are_seed_deterministic():
     assert (
         first["benchmarks"][0]["headline"] == second["benchmarks"][0]["headline"]
     )
-
-
-def test_run_bench_scheduler_flag_reaches_workers():
-    import os
-
-    from repro.sim.engine import SCHEDULER_ENV_VAR
-
-    before = os.environ.get(SCHEDULER_ENV_VAR)
-    doc = run_bench(
-        quick=True, workers=1, only=["engine-post-batch-storm"], scheduler="calendar"
-    )
-    assert doc["scheduler"] == "calendar"
-    assert doc["benchmarks"][0]["status"] == "ok"
-    # The inline path must not leak scheduler selection into this process.
-    assert os.environ.get(SCHEDULER_ENV_VAR) == before
 
 
 def test_run_bench_unknown_only_raises():
@@ -215,7 +200,7 @@ def test_compare_flags_events_per_sec_collapse():
 def test_compare_flags_missing_and_errored_benchmarks():
     baseline = _valid_doc()
     current = _valid_doc()
-    current["benchmarks"][0]["name"] = "engine-churn-calendar"
+    current["benchmarks"][0]["name"] = "engine-post-batch-storm"
     problems = compare_bench_docs(current, baseline)
     assert any("missing from this run" in p for p in problems)
 

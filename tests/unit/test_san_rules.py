@@ -181,18 +181,25 @@ class TestStaticDynamicCrossCheck:
     def test_probe_exercises_known_sites_only(self):
         check = san_cross_check()
         assert check.ok, check.to_text()
-        assert len(check.facts["static_sites"]) >= 15
-        # The probe covers every kind; compaction and refill discards
-        # are the easy ones to lose, so pin a few by name.
-        for site in (
-            "engine.post",
+        # The probe exercises every static site, and the catalog is
+        # exactly the instrumented set: a site added or lost fails here.
+        sites = {
             "engine.fired",
+            "engine.post",
+            "engine.schedule",
             "heap.compact",
-            "calendar.refill",
+            "heap.discard",
             "flowtable.evict",
+            "flowtable.insert",
+            "flowtable.invalidate",
+            "flowtable.invalidate_all",
+            "flowtable.invalidate_ip",
+            "outbox.emit",
             "world.inject",
-        ):
-            assert site in check.facts["dynamic_sites"], site
+        }
+        assert set(check.facts["static_sites"]) == sites
+        assert set(check.facts["dynamic_sites"]) == sites
+        assert check.facts["unexercised"] == []
 
     def test_unknown_dynamic_site_fails(self):
         check = san_cross_check(dynamic_sites=["engine.post", "bogus.site"])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.cpu import SOFTIRQ, USER
+from repro.hw.cpu import HARDIRQ, SOFTIRQ, USER
 from repro.hw.topology import Machine
 from repro.kernel.costs import CostModel
 from repro.kernel.skb import FlowKey, Skb
@@ -118,6 +118,72 @@ class TestCpuAccounting:
         acct.charge(0, SOFTIRQ, "fn", 10.0)
         acct.charge(1, SOFTIRQ, "fn", 15.0)
         assert acct.total_by_label()["fn"] == 25.0
+
+    def test_one_label_under_two_contexts(self):
+        acct = CpuAccounting()
+        acct.charge(0, SOFTIRQ, "fn", 4.0)
+        acct.charge(0, HARDIRQ, "fn", 1.0)
+        acct.charge(0, SOFTIRQ, "fn", 2.0)
+        assert acct.busy_us_label(0, "fn") == 7.0
+        assert acct.busy_us_context(0, SOFTIRQ) == 6.0
+        assert acct.busy_us_context(0, HARDIRQ) == 1.0
+        assert acct.busy_us_context(0, USER) == 0.0
+        assert acct.total_by_label() == {"fn": 7.0}
+
+    def test_one_label_on_two_cpus(self):
+        acct = CpuAccounting()
+        acct.charge(0, SOFTIRQ, "fn", 3.0)
+        acct.charge(1, SOFTIRQ, "fn", 5.0)
+        assert acct.busy_us_label(0, "fn") == 3.0
+        assert acct.busy_us_label(1, "fn") == 5.0
+        assert acct.busy_us_label(2, "fn") == 0.0
+        assert acct.busy_us(1) == 5.0
+        assert list(acct.cpus()) == [0, 1]
+
+    def test_busy_is_the_sum_of_contexts(self):
+        acct = CpuAccounting()
+        for cpu, context, label, duration in (
+            (0, HARDIRQ, "irq", 0.5),
+            (0, SOFTIRQ, "ip_rcv", 2.0),
+            (0, SOFTIRQ, "udp_rcv", 1.25),
+            (0, USER, "copy_to_user", 3.0),
+            (1, USER, "copy_to_user", 9.0),
+        ):
+            acct.charge(cpu, context, label, duration)
+        assert acct.busy_us(0) == sum(
+            acct.busy_us_context(0, context) for context in (HARDIRQ, SOFTIRQ, USER)
+        )
+        assert acct.busy_us(0) == 6.75
+        assert acct.busy_us(3) == 0.0
+
+    def test_snapshot_is_frozen(self):
+        acct = CpuAccounting()
+        acct.charge(0, SOFTIRQ, "fn", 2.0)
+        snap = acct.snapshot()
+        acct.charge(0, SOFTIRQ, "fn", 5.0)
+        acct.charge(1, USER, "app", 1.0)
+        assert snap.busy_us(0) == 2.0
+        assert snap.busy_us_label(0, "fn") == 2.0
+        assert list(snap.cpus()) == [0]
+        assert snap.total_by_label() == {"fn": 2.0}
+        assert acct.busy_us(0) == 7.0
+
+    def test_window_deltas_by_label_and_context(self):
+        acct = CpuAccounting()
+        acct.charge(0, SOFTIRQ, "fn", 50.0)
+        acct.charge(0, USER, "app", 50.0)
+        window = CpuWindow(acct, start_time=100.0)
+        acct.charge(0, SOFTIRQ, "fn", 20.0)
+        acct.charge(0, HARDIRQ, "fn", 10.0)
+        acct.charge(1, USER, "app", 30.0)
+        window.close(200.0)
+        acct.charge(0, SOFTIRQ, "fn", 1000.0)  # after close: not counted
+        assert window.utilization_context(0, SOFTIRQ) == pytest.approx(0.2)
+        assert window.utilization_context(0, HARDIRQ) == pytest.approx(0.1)
+        assert window.utilization_context(0, USER) == 0.0
+        assert window.utilization_label(0, "fn") == pytest.approx(0.3)
+        assert window.utilization(1) == pytest.approx(0.3)
+        assert window.label_shares() == pytest.approx({"fn": 0.5, "app": 0.5})
 
 
 class TestInterruptCounters:
