@@ -38,7 +38,7 @@ from repro.metrics.meters import MeasurementWindow
 from repro.metrics.tracing import PacketTracer
 from repro.overlay.host import Host
 from repro.overlay.network import OverlayNetwork
-from repro.sim.engine import Simulator, note_external_events
+from repro.sim.engine import Simulator
 from repro.sim.errors import ConfigurationError, ShardError
 from repro.sim.shard import CrossShardEvent, InlineShardHandle, ShardCoordinator
 from repro.validate.golden import SCHEMA_VERSION, TIME_PRECISION
@@ -810,10 +810,6 @@ def run_cluster(
         per_host.extend(shard_doc["hosts"])
         events += int(shard_doc["events_processed"])
     per_host.sort(key=lambda doc: doc["host"])
-    if transport == "process":
-        # Worker simulators counted their events in their own process;
-        # fold them into this one for events/sec accounting.
-        note_external_events(events)
 
     delivered = sum(doc["messages_delivered"] for doc in per_host)
     rate = sum(doc["message_rate_pps"] for doc in per_host)

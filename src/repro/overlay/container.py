@@ -7,7 +7,6 @@ overlay pipeline of its host's :class:`~repro.kernel.stack.NetworkStack`.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Optional
 
 from repro.kernel.skb import PROTO_TCP, PROTO_UDP, FlowKey
@@ -15,8 +14,6 @@ from repro.kernel.sockets import MessageCallback, Socket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.host import Host
-
-_container_ids = itertools.count(1)
 
 
 class Container:
@@ -26,7 +23,6 @@ class Container:
         self.name = name
         self.private_ip = private_ip
         self.host = host
-        self.id = next(_container_ids)
         self._next_port = 5000
 
     def allocate_port(self) -> int:

@@ -13,7 +13,7 @@ constants :data:`~repro.sim.clock.US`, :data:`~repro.sim.clock.MS` and
 
 from repro.sim.clock import MS, NS, SEC, US
 from repro.sim.context import SimContext
-from repro.sim.engine import Event, Simulator, global_events_processed
+from repro.sim.engine import Event, Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import HeapScheduler
@@ -37,7 +37,6 @@ __all__ = [
     "SimulationError",
     "RngRegistry",
     "HeapScheduler",
-    "global_events_processed",
     "Counter",
     "Histogram",
     "LatencyRecorder",

@@ -32,33 +32,10 @@ from repro.sim.errors import SimulationError
 from repro.sim.events import Event
 from repro.sim.scheduler import HeapScheduler
 
-__all__ = ["Event", "Simulator", "global_events_processed", "note_external_events"]
+__all__ = ["Event", "Simulator"]
 
 #: Upper bound on recycled Event objects kept per simulator.
 _FREELIST_CAP = 4096
-
-#: Process-wide count of events executed across every Simulator instance.
-#: The bench harness reads this to compute events/sec for workloads that
-#: construct their simulators internally.
-_global_events = 0
-
-
-def global_events_processed() -> int:
-    """Events executed so far by all simulators in this process."""
-    return _global_events
-
-
-def note_external_events(count: int) -> None:
-    """Fold events executed by another process into the global counter.
-
-    The sharded engine runs simulators inside worker processes whose
-    counters die with them; the coordinator reports their totals here so
-    that events/sec accounting (the bench harness) sees the whole run.
-    """
-    global _global_events
-    if count < 0:
-        raise SimulationError(f"cannot note a negative event count ({count})")
-    _global_events += count
 
 
 def _noop() -> None:
@@ -216,7 +193,6 @@ class Simulator:
                 ``until`` if the queue ran dry earlier.
             max_events: safety valve — stop after this many events.
         """
-        global _global_events
         if self._halted:
             raise SimulationError("simulator has been halted")
         processed = 0
@@ -247,13 +223,11 @@ class Simulator:
             if self._halted:
                 break
         self.events_processed += processed
-        _global_events += processed
         if until is not None and self.now < until and not self._halted:
             self.now = until
 
     def step(self) -> bool:
         """Process a single event. Returns False when the queue is empty."""
-        global _global_events
         event = self._scheduler.pop()
         if event is None:
             return False
@@ -266,7 +240,6 @@ class Simulator:
             # Mirror run(): no leak (and exactly one release) on a
             # raising callback.
             self.events_processed += 1
-            _global_events += 1
             if self._san is not None:
                 self._san.release("event", id(event), "engine.fired")
             if event.reusable:

@@ -8,16 +8,10 @@ shows up as a readable diff instead of a silently shifted figure.
 
 Canonicalization rules (what makes two runs comparable):
 
-* flow ids are remapped to dense indexes in ascending creation order —
-  the raw ids come from a process-global counter and depend on what else
-  ran in the process;
+* flow ids are remapped to dense indexes in ascending creation order
+  (raw ids are numbered process-wide, not per run);
 * traces are sorted by (flow, msg); events keep their recorded order;
 * timestamps are rounded to a fixed precision so the JSON text is stable.
-
-Golden scenarios deliberately avoid Poisson pacing: sender RNG stream
-names incorporate the process-global flow counter (see
-docs/architecture.md), so only deterministic arrival processes give
-traces that are stable regardless of what ran earlier in the process.
 """
 
 from __future__ import annotations

@@ -263,7 +263,9 @@ class Testbed:
                 flow,
                 message_size,
                 costs,
-                self.host.machine.rng.stream(f"sender/{flow.flow_id}/{index}"),
+                self.host.machine.rng.stream(
+                    f"sender/{flow.src_ip}:{flow.sport}/{index}"
+                ),
                 client_process,
                 shared_state=shared,
                 name=f"udp{flow.flow_id}.{index}",
@@ -310,7 +312,7 @@ class Testbed:
             flow,
             message_size,
             self.stack.costs,
-            self.host.machine.rng.stream(f"sender/{flow.flow_id}"),
+            self.host.machine.rng.stream(f"sender/{flow.src_ip}:{flow.sport}"),
             window_msgs=window_msgs,
             process=process,
             retransmit_timeout_us=retransmit_timeout_us,

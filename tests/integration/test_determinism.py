@@ -63,6 +63,87 @@ def test_memcached_deterministic():
 
 
 # ----------------------------------------------------------------------
+# Run twice in one process: nothing leaks from one run into the next
+# ----------------------------------------------------------------------
+# Each workload runs, runs again, and runs once more after a different
+# experiment has built its own flows and containers. All three results
+# must be equal: a run may not depend on what ran earlier in the process
+# (e.g. through a process-global counter naming an RNG stream).
+
+
+def _udp_poisson():
+    exp = Experiment(mode="overlay", seed=7)
+    return repr(
+        exp.run_udp_fixed(
+            1400, rate_pps=200_000, poisson=True, duration_ms=5, warmup_ms=1
+        )
+    )
+
+
+def _tcp_paced_poisson():
+    exp = Experiment(mode="overlay", falcon=FalconConfig(), seed=3)
+    return repr(
+        exp.run_tcp_fixed(
+            4096, rate_pps=60_000, poisson=True, duration_ms=5, warmup_ms=1
+        )
+    )
+
+
+def _memcached():
+    from repro.workloads.memcached import run_memcached
+
+    return repr(run_memcached(4, duration_ms=5, warmup_ms=2, seed=1))
+
+
+def _webserving():
+    from repro.workloads.webserving import run_webserving
+
+    result = run_webserving(users=20, duration_ms=8, warmup_ms=4, seed=1)
+    return (
+        result.total_ops,
+        tuple(
+            (name, stats.completed, stats.failed, repr(stats.response.mean),
+             repr(stats.delay.mean))
+            for name, stats in sorted(result.per_op.items())
+        ),
+        repr(result.cpu_util),
+    )
+
+
+def _multiflow():
+    from repro.workloads.multiflow import run_multiflow_udp
+
+    return repr(
+        run_multiflow_udp(
+            3, rate_per_flow=80_000.0, duration_ms=4, warmup_ms=2, seed=2
+        )
+    )
+
+
+def _other_experiment():
+    """A different run that allocates flows and containers of its own."""
+    from repro.workloads.multiflow import run_multicontainer
+
+    run_multicontainer(2, duration_ms=1, warmup_ms=1, seed=5)
+    Experiment(mode="overlay", seed=11).run_udp_fixed(
+        64, rate_pps=50_000, clients=2, poisson=True, duration_ms=1, warmup_ms=1
+    )
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_udp_poisson, _tcp_paced_poisson, _memcached, _webserving, _multiflow],
+    ids=["udp-poisson", "tcp-paced-poisson", "memcached", "webserving",
+         "multiflow"],
+)
+def test_run_twice_and_after_another_experiment_equal(run):
+    first = run()
+    assert run() == first, "second run in the same process diverged"
+    _other_experiment()
+    assert run() == first, "run after a different experiment diverged"
+
+
+# ----------------------------------------------------------------------
 # Seed-sweep matrix: bit-identical counters AND golden traces
 # ----------------------------------------------------------------------
 # The spot checks above catch gross nondeterminism; the matrix pins down
@@ -85,8 +166,6 @@ def _traced_run(seed, use_falcon):
     )
     tracer = PacketTracer(sample_every=7, max_messages=48)
     bed.stack.tracer = tracer
-    # Constant-rate pacing: stable regardless of process history (the
-    # Poisson stream names depend on the process-global flow counter).
     bed.add_udp_flow(512, rate_pps=50_000.0)
     bed.run(warmup_ms=2.0, measure_ms=5.0)
     return (

@@ -1,8 +1,9 @@
 """Property tests: the event engine honours its ordering contract.
 
 Every program — hypothesis-generated op lists and seeded self-sustaining
-churn (the ``repro bench`` workload shape, with far-future delays and
-heavy lazy cancellation driving the queue through compaction) — runs on
+churn (the engine microbenchmark's workload shape, with far-future
+delays and heavy lazy cancellation driving the queue through
+compaction) — runs on
 one simulator that numbers each event in scheduling order. The fired
 trace must then satisfy the engine's spec:
 
@@ -144,7 +145,7 @@ def test_run_until_then_run_equals_single_run(ops, bound):
 
 
 def _churn(seed, bound=None):
-    """The bench churn shape: self-sustaining ticks + cancellable timers.
+    """The engine-churn microbenchmark shape: self-sustaining ticks + cancellable timers.
 
     One tick in ten lands far in the future and 80% of the timers are
     cancelled: lazy-cancel discards and, with a lowered threshold,
