@@ -32,7 +32,7 @@ def run_case(falcon, locality_off):
         from repro.kernel.stack import NetworkStack
 
         bed.host.config.costs = costs
-        bed.host.stack = NetworkStack(bed.sim, bed.host.machine, bed.host.config)
+        bed.host.stack = NetworkStack(bed.host.machine, bed.host.config)
         bed.host.machine.locality = LocalityModel.uniform()
         bed.stack = bed.host.stack
         bed.window.stack = bed.stack

@@ -28,7 +28,7 @@ def run_variant(name: str, costs: CostModel, table: Table) -> None:
         bed = Testbed(mode="overlay", falcon=falcon)
         # Swap in the custom cost model and rebuild the receive stack.
         bed.host.config.costs = costs
-        bed.host.stack = NetworkStack(bed.sim, bed.host.machine, bed.host.config)
+        bed.host.stack = NetworkStack(bed.host.machine, bed.host.config)
         bed.stack = bed.host.stack
         bed.window.stack = bed.stack
         bed.add_udp_flow(16, clients=3)

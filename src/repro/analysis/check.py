@@ -56,7 +56,6 @@ from repro.analysis.order.rules_causality import CAUSALITY_RULES
 from repro.analysis.order.rules_flowcache import FLOWCACHE_RULES
 from repro.analysis.order.rules_partition import PARTITION_RULES
 from repro.analysis.san.rules_cache import CACHE_RULES
-from repro.analysis.san.rules_event import EVENT_RULES
 from repro.analysis.san.rules_skbown import SKBOWN_RULES
 from repro.analysis.san.sancheck import san_cross_check
 
@@ -71,7 +70,7 @@ FAMILIES: Dict[str, Tuple[Rule, ...]] = {
     "lint": DETERMINISM_RULES + DES_RULES + RACE_RULES,
     "flow": SKB_RULES + TIME_RULES,
     "order": PARTITION_RULES + CAUSALITY_RULES + FLOWCACHE_RULES,
-    "san": EVENT_RULES + SKBOWN_RULES + CACHE_RULES,
+    "san": SKBOWN_RULES + CACHE_RULES,
 }
 
 ALL_RULES: Tuple[Rule, ...] = tuple(

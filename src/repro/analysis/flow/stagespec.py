@@ -147,9 +147,7 @@ def _reference_stacks() -> List[object]:
         ),
     ]
     for config in configs:
-        sim = Simulator()
-        machine = Machine(sim)
-        stacks.append(NetworkStack(sim, machine, config))
+        stacks.append(NetworkStack(Machine(Simulator()), config))
     return stacks
 
 

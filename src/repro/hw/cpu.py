@@ -129,8 +129,8 @@ class Cpu:
         if self.monitor is not None:
             self.monitor.on_cpu_start(self.index, self.sim.now, duration)
         self.busy_us_total += duration
-        # Fire-and-forget: completions are never cancelled, so the event
-        # object is recycled through the simulator's freelist.
+        # Fire-and-forget: completions are never cancelled, so no event
+        # handle is kept.
         self.sim.post(duration, self._complete, fn, args)
 
     def _complete(self, fn: Completion, args: tuple) -> None:

@@ -83,8 +83,3 @@ class Link:
         arrival = self.reserve(nbytes)
         self.sim.post_at(arrival, deliver)
         return arrival
-
-    @property
-    def backlog_us(self) -> float:
-        """How far ahead of the clock the link is booked (send queue depth)."""
-        return max(self._next_free - self.sim.now, 0.0)

@@ -20,18 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.hw.link import Link
 from repro.sim.errors import ConfigurationError
-
-
-def lookahead_from_links(links: Iterable[Link]) -> float:
-    """Minimum propagation delay (µs) over the shard-crossing links.
-
-    Raises :class:`ConfigurationError` when no link is given or any link
-    has a non-positive propagation delay — both would make conservative
-    synchronization unsound.
-    """
-    return lookahead_from_latencies(link.propagation_us for link in links)
 
 
 def lookahead_from_latencies(latencies_us: Iterable[float]) -> float:

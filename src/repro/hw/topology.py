@@ -60,9 +60,6 @@ class Machine:
     def cpu(self, index: int) -> Cpu:
         return self.cpus[index]
 
-    def socket_of(self, cpu_index: int) -> int:
-        return cpu_index // self.cores_per_socket
-
     def loads(self) -> List[float]:
         """Recent per-core loads (refreshed by the kernel timer tick)."""
         return [cpu.load for cpu in self.cpus]

@@ -57,8 +57,6 @@ from repro.kernel.stages import (
 )
 from repro.kernel.steering import Rfs, Rps
 from repro.kernel.timers import LoadTracker
-from repro.sim.context import SimContext
-from repro.sim.engine import Simulator
 from repro.sim.errors import ConfigurationError
 
 MODE_HOST = "host"
@@ -107,24 +105,18 @@ class StackConfig:
 class NetworkStack:
     """One host's in-kernel receive pipeline.
 
-    The first argument accepts either the run's :class:`SimContext` (the
-    preferred form — the stack joins that context) or a bare
-    :class:`Simulator` (legacy form — the stack joins ``machine.ctx``,
-    which wraps the same simulator).
+    The stack joins ``machine.ctx``, the run context the machine
+    already belongs to.
     """
 
     def __init__(
         self,
-        sim: "Simulator | SimContext",
         machine: Machine,
         config: StackConfig,
     ) -> None:
         if config.mode not in (MODE_HOST, MODE_OVERLAY):
             raise ConfigurationError(f"unknown stack mode {config.mode!r}")
-        if isinstance(sim, SimContext):
-            self.ctx = sim
-        else:
-            self.ctx = machine.ctx
+        self.ctx = machine.ctx
         self.sim = self.ctx.sim
         self.machine = machine
         self.config = config
@@ -190,7 +182,6 @@ class NetworkStack:
 
         # --- sockets ---------------------------------------------------------
         self.sockets = SocketTable()
-        self.delivered_packets = 0
         #: Wire segments delivered via the cached fast path.
         self.fastpath_deliveries = 0
         self.unroutable_packets = 0
@@ -413,7 +404,6 @@ class NetworkStack:
             return
         skb.last_cpu = cpu_index
         if socket.enqueue(skb):
-            self.delivered_packets += 1
             if flowcache is not None and skb.fastpath is not None:
                 if skb.fastpath:
                     self.fastpath_deliveries += skb.fastpath

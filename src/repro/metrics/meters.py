@@ -29,7 +29,6 @@ class MeasurementWindow:
         self._softirq_raises_at_open = 0
         self._handler_runs_at_open = 0
         self._stage_execs_at_open: Dict[str, int] = {}
-        self._delivered_at_open = 0
         self.opened = False
         self.closed = False
 
@@ -42,7 +41,6 @@ class MeasurementWindow:
         self._softirq_raises_at_open = self.stack.softnet.softirq_raises
         self._handler_runs_at_open = self.stack.softnet.handler_runs
         self._stage_execs_at_open = dict(self.stack.softnet.stage_executions)
-        self._delivered_at_open = self.stack.delivered_packets
         self.rate.open_window(now)
         self.opened = True
 
@@ -87,9 +85,6 @@ class MeasurementWindow:
             name: current[name] - self._stage_execs_at_open.get(name, 0)
             for name in current
         }
-
-    def delivered_delta(self) -> int:
-        return self.stack.delivered_packets - self._delivered_at_open
 
 
 class ThroughputProbe:

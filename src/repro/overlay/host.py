@@ -7,7 +7,7 @@ scheduled onto it, mirroring one of the paper's two testbed servers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.hw.link import Link
 from repro.hw.topology import Machine
@@ -39,7 +39,7 @@ class Host:
         self.ctx = SimContext(sim=sim, rng=RngRegistry(seed), name=name)
         self.machine = Machine(sim, num_cpus=num_cpus, name=name, ctx=self.ctx)
         self.config = config or StackConfig()
-        self.stack = NetworkStack(self.ctx, self.machine, self.config)
+        self.stack = NetworkStack(self.machine, self.config)
         self.containers: Dict[str, Container] = {}
         #: Ingress link (remote sender → this host's NIC); set by the
         #: testbed/OverlayNetwork wiring.
@@ -71,9 +71,6 @@ class Host:
         """Create the ingress link remote senders transmit over."""
         self.ingress_link = Link(self.sim, bandwidth_gbps, propagation_us)
         return self.ingress_link
-
-    def cpu_utilization(self) -> List[float]:
-        return self.machine.loads()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Host {self.name} cpus={self.machine.num_cpus}>"

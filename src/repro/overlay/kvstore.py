@@ -48,8 +48,5 @@ class KvStore:
         self._cache[container_ip] = host_ip
         return host_ip
 
-    def is_cached(self, container_ip: int) -> bool:
-        return container_ip in self._cache
-
     def __len__(self) -> int:
         return len(self._mapping)

@@ -14,11 +14,9 @@ Design notes
   when popped. This keeps :meth:`Simulator.cancel` O(1); the queue
   compacts itself when dead entries dominate, so schedule-and-cancel
   workloads do not grow it without bound.
-* Fire-and-forget callers that never cancel should prefer
-  :meth:`Simulator.post` / :meth:`Simulator.post_at` /
-  :meth:`Simulator.post_batch` over ``schedule``: no handle escapes, so
-  the engine recycles those events through a freelist instead of
-  allocating a fresh object per packet.
+* Fire-and-forget callers that never cancel use :meth:`Simulator.post`
+  / :meth:`Simulator.post_at` / :meth:`Simulator.post_batch`: they queue
+  the same events as ``schedule`` but return no handle.
 * The simulator never advances time backwards; scheduling with a negative
   delay raises :class:`~repro.sim.errors.SimulationError`.
 """
@@ -26,21 +24,13 @@ Design notes
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event
 from repro.sim.scheduler import HeapScheduler
 
 __all__ = ["Event", "Simulator"]
-
-#: Upper bound on recycled Event objects kept per simulator.
-_FREELIST_CAP = 4096
-
-
-def _noop() -> None:
-    """Placeholder callback installed on freelisted events."""
-
 
 class Simulator:
     """Event loop with a microsecond clock.
@@ -61,7 +51,6 @@ class Simulator:
         self._scheduler = HeapScheduler()
         self._seq: int = 0
         self._halted: bool = False
-        self._freelist: List[Event] = []
         self.events_processed: int = 0
         #: Ownership ledger hook (REPRO_SANITIZE=1). None in normal runs:
         #: every instrumented site pays one ``is None`` check and nothing
@@ -98,23 +87,15 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        event = Event(time, self._seq, fn, args)
-        self._seq += 1
-        if self._san is not None:
-            self._san.acquire("event", id(event), "engine.schedule", event)
+        event = self._event(time, fn, args)
         self._scheduler.push(event)
         return event
 
     def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, event is recycled.
-
-        Use this on hot paths that never cancel — the event object goes
-        back to a freelist after the callback returns instead of being
-        garbage.
-        """
+        """Fire-and-forget :meth:`schedule`: no handle is returned."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._scheduler.push(self._acquire(self.now + delay, fn, args))
+        self._scheduler.push(self._event(self.now + delay, fn, args))
 
     def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule_at`."""
@@ -122,7 +103,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        self._scheduler.push(self._acquire(time, fn, args))
+        self._scheduler.push(self._event(time, fn, args))
 
     def post_batch(
         self,
@@ -135,14 +116,13 @@ class Simulator:
         All events share the timestamp ``now + delay`` and run in
         ``args_list`` order (sequence numbers are assigned in iteration
         order). Built for NAPI poll storms, where a single poll round
-        fans tens of per-packet continuations into the queue: the
-        queue gets them as one bulk insert. Returns the number of
-        events queued.
+        fans tens of per-packet continuations into the queue. Returns
+        the number of events queued.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         time = self.now + delay
-        events = [self._acquire(time, fn, args) for args in args_list]
+        events = [self._event(time, fn, args) for args in args_list]
         self._scheduler.push_many(events)
         return len(events)
 
@@ -152,30 +132,13 @@ class Simulator:
             event.cancelled = True
             self._scheduler.note_cancel()
 
-    def _acquire(self, time: float, fn: Callable[..., Any], args: Tuple[Any, ...]) -> Event:
-        """Build a recyclable event, reusing a freelisted one if possible."""
-        free = self._freelist
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = self._seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, self._seq, fn, args)
-            event.reusable = True
+    def _event(self, time: float, fn: Callable[..., Any], args: Tuple[Any, ...]) -> Event:
+        """Mint the next event in sequence order (every scheduling path)."""
+        event = Event(time, self._seq, fn, args)
         self._seq += 1
         if self._san is not None:
-            self._san.acquire("event", id(event), "engine.post", event)
+            self._san.acquire("event", id(event), "engine.schedule", event)
         return event
-
-    def _recycle(self, event: Event) -> None:
-        """Return a fired ``post*`` event to the freelist."""
-        event.fn = _noop
-        event.args = ()
-        if len(self._freelist) < _FREELIST_CAP:
-            self._freelist.append(event)
 
     # ------------------------------------------------------------------
     # Execution
@@ -212,39 +175,16 @@ class Simulator:
             try:
                 event.fn(*event.args)
             finally:
-                # A raising callback must not leak the event: recycle on
-                # every exit so the pool keeps its object (and the
-                # sanitizer sees exactly one release per fire).
+                # A raising callback still counts as fired: the sanitizer
+                # sees exactly one release per fire on every exit.
                 processed += 1
                 if self._san is not None:
                     self._san.release("event", id(event), "engine.fired")
-                if event.reusable:
-                    self._recycle(event)
             if self._halted:
                 break
         self.events_processed += processed
         if until is not None and self.now < until and not self._halted:
             self.now = until
-
-    def step(self) -> bool:
-        """Process a single event. Returns False when the queue is empty."""
-        event = self._scheduler.pop()
-        if event is None:
-            return False
-        if self.monitor is not None:
-            self.monitor.on_event(self.now, event.time)
-        self.now = event.time
-        try:
-            event.fn(*event.args)
-        finally:
-            # Mirror run(): no leak (and exactly one release) on a
-            # raising callback.
-            self.events_processed += 1
-            if self._san is not None:
-                self._san.release("event", id(event), "engine.fired")
-            if event.reusable:
-                self._recycle(event)
-        return True
 
     def halt(self) -> None:
         """Stop the current :meth:`run` after the in-flight event returns."""

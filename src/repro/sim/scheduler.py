@@ -62,18 +62,9 @@ class HeapScheduler:
         heappush(self._heap, event)
 
     def push_many(self, events: Iterable[Event]) -> None:
-        """Bulk-insert events (batch scheduling for NAPI poll storms)."""
-        batch = list(events)
-        heap = self._heap
-        if 4 * len(batch) >= len(heap):
-            # Bulk path: one O(n + k) heapify beats k O(log n) sifts.
-            for event in batch:
-                event.queued = True
-            heap.extend(batch)
-            heapify(heap)
-        else:
-            for event in batch:
-                self.push(event)
+        """Push each event in iteration order (NAPI poll-storm batches)."""
+        for event in events:
+            self.push(event)
 
     # -- removal -------------------------------------------------------
     def pop(self) -> Optional[Event]:

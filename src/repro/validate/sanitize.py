@@ -5,10 +5,10 @@ over the *source*; this module checks it over an actual *run*. A shadow
 :class:`OwnershipLedger` records every acquire and release of the three
 kinds of owned objects the reproduction moves across boundaries:
 
-``event``       pooled/scheduled :class:`~repro.sim.events.Event`
-                objects — acquired when minted (``schedule_at`` /
-                ``_acquire``), released when fired or when the event queue
-                discards a cancelled entry lazily.
+``event``       :class:`~repro.sim.events.Event` objects — acquired
+                when minted (every ``schedule*`` / ``post*`` call),
+                released when fired or when the event queue discards a
+                cancelled entry lazily.
 ``flow_entry``  flow-cache entries — acquired at
                 :meth:`~repro.kernel.flowcache.FlowTable.insert`,
                 released by eviction and every ``invalidate*`` path
@@ -25,8 +25,8 @@ clock and never touches an RNG, so a sanitized run's traces are
 byte-identical to an unsanitized run's — the golden suite asserts this.
 
 At end of run :meth:`OwnershipLedger.report` classifies what is still
-live: an event that is neither queued nor released leaked (the pool
-shrank for good); queued events, table-owned entries and in-flight
+live: an event that is neither queued nor released leaked (its
+callback will never run); queued events, table-owned entries and in-flight
 records are legitimate residue and count as *pending*, not leaks.
 Mismatched operations (double acquire, release of something untracked)
 are reported as errors at the offending site.

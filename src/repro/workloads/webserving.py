@@ -160,9 +160,6 @@ class WebServingResult:
     def avg_delay_ms(self, op_name: str) -> float:
         return self.per_op[op_name].delay.mean / 1000.0
 
-    def op_names(self) -> List[str]:
-        return [op.name for op in OPERATIONS]
-
 
 class WebServingScenario:
     """One Figure-17 run."""

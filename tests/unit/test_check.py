@@ -85,7 +85,7 @@ class TestOneParse:
 class TestRegistry:
     def test_ids_are_unique_and_complete(self):
         ids = [rule.id for rule in check.ALL_RULES]
-        assert len(ids) == len(set(ids)) == 32
+        assert len(ids) == len(set(ids)) == 29
 
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_family_is_the_rule_package(self, family):
@@ -105,13 +105,13 @@ class TestRegistry:
 class TestRuleSelection:
     def test_rules_from_two_families_run_together(self):
         code, payload = run_cli_json(
-            "check", FIXTURE_ROOT, "--rule", "SIM101", "--rule", "OWN601"
+            "check", FIXTURE_ROOT, "--rule", "SIM101", "--rule", "OWN611"
         )
         assert code == 1
-        assert payload["rules_run"] == ["SIM101", "OWN601"]
+        assert payload["rules_run"] == ["SIM101", "OWN611"]
         rules = {finding["rule"] for finding in payload["findings"]}
-        assert {"SIM101", "OWN601"} <= rules <= {
-            "SIM101", "OWN601", "LINT000", "LINT001",
+        assert {"SIM101", "OWN611"} <= rules <= {
+            "SIM101", "OWN611", "LINT000", "LINT001",
         }
 
     def test_baseline_is_compared_on_the_selected_rules(self, monkeypatch):
@@ -133,7 +133,7 @@ class TestRuleSelection:
 
 class TestReports:
     def test_clean_text_report(self):
-        clean = FIXTURE_ROOT / "san" / "own60x_clean.py"
+        clean = FIXTURE_ROOT / "san" / "own61x_clean.py"
         code, out, _ = run_cli("check", clean)
         assert code == 0
         assert "1 files clean" in out
@@ -158,7 +158,7 @@ class TestReports:
             lambda name, *a: object() if name == "mypy"
             else real_find_spec(name, *a),
         )
-        clean = FIXTURE_ROOT / "san" / "own60x_clean.py"
+        clean = FIXTURE_ROOT / "san" / "own61x_clean.py"
         code, out, _ = run_cli("check", clean, "--require-mypy")
         assert code == 1
         assert "a.py:1: error: one" in out

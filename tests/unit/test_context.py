@@ -93,26 +93,23 @@ def test_machine_accepts_shared_context():
     assert machine.rng is ctx.rng
 
 
-def test_stack_accepts_context_or_legacy_sim():
+def test_stack_joins_the_machine_context():
     ctx = SimContext(name="ctx-form")
     machine = Machine(ctx.sim, num_cpus=2, ctx=ctx)
-    stack = NetworkStack(ctx, machine, StackConfig())
-    assert stack.ctx is ctx
+    stack = NetworkStack(machine, StackConfig())
+    assert stack.ctx is machine.ctx
     assert stack.sim is ctx.sim
     # The stack published its cost model into the context.
     assert ctx.costs is stack.costs
 
-    legacy_sim = Simulator()
-    legacy_machine = Machine(legacy_sim, num_cpus=2)
-    legacy = NetworkStack(legacy_sim, legacy_machine, StackConfig())
-    assert legacy.ctx is legacy_machine.ctx
-    assert legacy.sim is legacy_sim
+    bare = Machine(Simulator(), num_cpus=2)
+    assert NetworkStack(bare, StackConfig()).ctx is bare.ctx
 
 
 def test_stack_monitor_property_round_trips_through_context():
     ctx = SimContext()
     machine = Machine(ctx.sim, num_cpus=2, ctx=ctx)
-    stack = NetworkStack(ctx, machine, StackConfig())
+    stack = NetworkStack(machine, StackConfig())
     monitor = _Monitor()
     stack.monitor = monitor
     assert ctx.monitor is monitor
@@ -126,7 +123,7 @@ def test_stack_monitor_property_round_trips_through_context():
 def test_stack_tracer_property_uses_context():
     ctx = SimContext()
     machine = Machine(ctx.sim, num_cpus=2, ctx=ctx)
-    stack = NetworkStack(ctx, machine, StackConfig())
+    stack = NetworkStack(machine, StackConfig())
     sentinel = object()
     stack.tracer = sentinel
     assert ctx.tracer is sentinel

@@ -95,17 +95,6 @@ def test_halt_stops_run():
     assert hits == ["a", "b"]
 
 
-def test_step_processes_single_event():
-    sim = Simulator()
-    hits = []
-    sim.schedule(1.0, hits.append, 1)
-    sim.schedule(2.0, hits.append, 2)
-    assert sim.step()
-    assert hits == [1]
-    assert sim.step()
-    assert not sim.step()
-
-
 def test_max_events_bound():
     sim = Simulator()
     hits = []

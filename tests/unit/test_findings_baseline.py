@@ -165,8 +165,8 @@ class TestCheckedInBaselinesMatchReality:
         assert family_drift(src_check, "san") == []
 
     def test_san_baseline_is_empty(self):
-        # simsan's acceptance bar: the engine's freelist, the wire codec
-        # and the flowcache satisfy every OWN rule with no pragmas at
+        # simsan's acceptance bar: the wire codec, GRO and the
+        # flowcache satisfy every OWN rule with no pragmas at
         # all — ownership discipline holds in-tree, not modulo a list
         # of grandfathered leaks.
         assert family_baseline("san") == {}

@@ -59,7 +59,7 @@ class TestStackConfig:
         sim = Simulator()
         machine = Machine(sim, num_cpus=4)
         with pytest.raises(ConfigurationError):
-            NetworkStack(sim, machine, StackConfig(mode="bridge"))
+            NetworkStack(machine, StackConfig(mode="bridge"))
 
     def test_costs_override_wins_over_kernel(self):
         custom = CostModel.kernel_5_4()
@@ -69,7 +69,7 @@ class TestStackConfig:
     def test_host_mode_has_no_overlay_stages(self):
         sim = Simulator()
         machine = Machine(sim, num_cpus=4)
-        stack = NetworkStack(sim, machine, StackConfig(mode=MODE_HOST))
+        stack = NetworkStack(machine, StackConfig(mode=MODE_HOST))
         assert "vxlan" not in stack.stages
         assert not stack.is_overlay
 
@@ -80,20 +80,20 @@ class TestStackConfig:
             mode=MODE_OVERLAY, falcon=FalconConfig(cpus=[99])
         )
         with pytest.raises(ConfigurationError):
-            NetworkStack(sim, machine, config)
+            NetworkStack(machine, config)
 
     def test_rps_disabled_keeps_processing_on_irq_core(self):
         sim = Simulator()
         machine = Machine(sim, num_cpus=4)
         stack = NetworkStack(
-            sim, machine, StackConfig(mode=MODE_HOST, rps_cpus=None)
+            machine, StackConfig(mode=MODE_HOST, rps_cpus=None)
         )
         assert stack.rps is None
 
     def test_overlay_ifindexes_in_path_order(self):
         sim = Simulator()
         machine = Machine(sim, num_cpus=4)
-        stack = NetworkStack(sim, machine, StackConfig(mode=MODE_OVERLAY))
+        stack = NetworkStack(machine, StackConfig(mode=MODE_OVERLAY))
         assert stack.overlay_ifindexes == [3, 5]
 
     def test_gro_split_requires_falcon(self):
@@ -102,7 +102,7 @@ class TestStackConfig:
         config = StackConfig(
             mode=MODE_HOST, falcon=FalconConfig(cpus=[3], split_gro=True)
         )
-        stack = NetworkStack(sim, machine, config)
+        stack = NetworkStack(machine, config)
         assert "pnic_gro" in stack.stages
 
 

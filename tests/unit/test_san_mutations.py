@@ -5,8 +5,6 @@ analyzer does that too) — it is that seeding each canonical ownership
 bug into a *copy of the real module* yields exactly the expected OWN
 finding at the expected line:
 
-* the engine's post path releasing its pooled event twice → OWN601;
-* the same path dropping the event instead of queueing it → OWN603;
 * GRO holding a fragment *and* forwarding it (store-AND-forward in
   place of the legal store-XOR-forward) → OWN612;
 * decode_skb serving a cached object instead of constructing fresh
@@ -62,32 +60,6 @@ class TestCleanCopies:
 
 
 class TestPlantedDefects:
-    def test_double_recycle_in_post_yields_own601(self, tmp_path):
-        copy = mutate(
-            tmp_path,
-            ENGINE,
-            "        self._scheduler.push("
-            "self._acquire(self.now + delay, fn, args))",
-            "        event = self._acquire(self.now + delay, fn, args)\n"
-            "        self._recycle(event)\n"
-            "        self._recycle(event)",
-        )
-        expected_line = line_of(copy, "self._recycle(event)") + 1
-        assert findings_for(copy) == [(expected_line, "OWN601")]
-
-    def test_dropped_event_in_post_yields_own603(self, tmp_path):
-        copy = mutate(
-            tmp_path,
-            ENGINE,
-            "        self._scheduler.push("
-            "self._acquire(self.now + delay, fn, args))",
-            "        event = self._acquire(self.now + delay, fn, args)",
-        )
-        expected_line = line_of(
-            copy, "event = self._acquire(self.now + delay, fn, args)"
-        )
-        assert findings_for(copy) == [(expected_line, "OWN603")]
-
     def test_gro_store_and_forward_yields_own612(self, tmp_path):
         # feed's legal shape holds the fragment XOR returns it; keep the
         # held reference and forward the skb anyway and the container

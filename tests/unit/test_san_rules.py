@@ -63,9 +63,8 @@ class TestFixtureCorpus:
 class TestSourceTreeIsClean:
     """Zero in-tree findings is the false-positive budget of the pass.
 
-    This is also the PR's acceptance bar: the engine's freelist, the
-    shard wire codec and the flowcache satisfy every OWN rule with an
-    **empty** baseline — no pragmas, no suppressions (see
+    The shard wire codec, GRO and the flowcache satisfy every OWN rule
+    with an **empty** baseline — no pragmas, no suppressions (see
     test_findings_baseline.py).
     """
 
@@ -75,54 +74,15 @@ class TestSourceTreeIsClean:
 
 class TestRuleCatalogue(RuleCatalogueContract):
     family = "san"
-    rule_ids = tuple(f"OWN6{group}{n}" for group in "012" for n in "123")
-    single = ("OWN601", "own60x_bad.py", 14)
-    single_absent = "OWN603"
+    rule_ids = tuple(f"OWN6{group}{n}" for group in "12" for n in "123")
+    single = ("OWN621", "own62x_bad.py", 17)
+    single_absent = "OWN622"
 
 
 class TestOwnershipSemantics:
-    """The path-sensitivity the corpus README calls out, plus the
-    must-discipline: one-path releases never flag, one-path leaks do."""
-
-    def test_branch_release_is_not_double(self, tmp_path):
-        copy = tmp_path / "branch_release.py"
-        copy.write_text(
-            "def reap(self, flag):\n"
-            "    ev = self._freelist.pop()\n"
-            "    if flag:\n"
-            "        self._recycle(ev)\n"
-            "    else:\n"
-            "        self._recycle(ev)\n"
-        )
-        result, _ = actual_findings([copy])
-        assert result.ok, result.to_text()
-
-    def test_release_after_either_arm_is_double(self, tmp_path):
-        copy = tmp_path / "joined_double.py"
-        copy.write_text(
-            "def reap(self, flag):\n"
-            "    ev = self._freelist.pop()\n"
-            "    if flag:\n"
-            "        self._recycle(ev)\n"
-            "    else:\n"
-            "        self._recycle(ev)\n"
-            "    self._recycle(ev)\n"
-        )
-        _, actual = actual_findings([copy])
-        assert ("joined_double.py", 7, "OWN601") in actual
-
-    def test_leak_is_existential(self, tmp_path):
-        # Queued on one path only: the other path leaks, and that is
-        # enough — the leak rule does not wait for all paths to drop it.
-        copy = tmp_path / "one_path_leak.py"
-        copy.write_text(
-            "def post_if(self, armed):\n"
-            "    ev = self._freelist.pop()\n"
-            "    if armed:\n"
-            "        self._scheduler.push(ev)\n"
-        )
-        _, actual = actual_findings([copy])
-        assert ("one_path_leak.py", 2, "OWN603") in actual
+    """The path-sensitivity the corpus README calls out: retention is
+    tracked per path, so store-XOR-forward is legal and
+    store-AND-forward is not."""
 
     def test_store_xor_forward_stays_silent(self, tmp_path):
         # GRO's shape: held on one path, returned on the disjoint other.
@@ -152,18 +112,18 @@ class TestPragmaSuppression:
     """Ownership findings honour the shared simlint pragma machinery."""
 
     def test_disable_pragma_suppresses_san_finding(self, tmp_path):
-        src = (FIXTURES / "own60x_bad.py").read_text()
+        src = (FIXTURES / "own62x_bad.py").read_text()
         patched = src.replace(
-            "self._recycle(ev)  # expect: OWN601",
-            "self._recycle(ev)  # simlint: disable=OWN601",
+            "self._entries.pop(key, None)  # expect: OWN621",
+            "self._entries.pop(key, None)  # simlint: disable=OWN621",
         )
         assert patched != src
         copy = tmp_path / "suppressed.py"
         copy.write_text(patched)
         result, actual = actual_findings([copy])
-        assert ("suppressed.py", 14, "OWN601") not in actual
-        assert [f.rule for f in result.suppressed] == ["OWN601"]
-        assert result.suppressed[0].line == 14
+        assert ("suppressed.py", 17, "OWN621") not in actual
+        assert [f.rule for f in result.suppressed] == ["OWN621"]
+        assert result.suppressed[0].line == 17
 
     def test_san_ids_are_known_to_lint_meta_rules(self, tmp_path):
 
@@ -185,7 +145,6 @@ class TestStaticDynamicCrossCheck:
         # exactly the instrumented set: a site added or lost fails here.
         sites = {
             "engine.fired",
-            "engine.post",
             "engine.schedule",
             "heap.compact",
             "heap.discard",
@@ -197,19 +156,20 @@ class TestStaticDynamicCrossCheck:
             "outbox.emit",
             "world.inject",
         }
+        assert len(sites) == 11
         assert set(check.facts["static_sites"]) == sites
         assert set(check.facts["dynamic_sites"]) == sites
         assert check.facts["unexercised"] == []
 
     def test_unknown_dynamic_site_fails(self):
-        check = san_cross_check(dynamic_sites=["engine.post", "bogus.site"])
+        check = san_cross_check(dynamic_sites=["engine.schedule", "bogus.site"])
         assert not check.ok
         assert check.facts["unknown"] == ["bogus.site"]
         assert any("bogus.site" in error for error in check.errors)
         assert "bogus.site" in check.to_text()
 
     def test_unexercised_is_informational(self):
-        check = san_cross_check(dynamic_sites=["engine.post"])
+        check = san_cross_check(dynamic_sites=["engine.schedule"])
         assert check.ok
         assert "heap.discard" in check.facts["unexercised"]
 
@@ -238,7 +198,7 @@ class TestCli(CliContract):
         code, payload = run_cli_json("check", FIXTURES)
         assert code == 1
         assert payload["ok"] is False
-        assert payload["counts_by_rule"]["OWN603"] == 3
+        assert payload["counts_by_rule"]["OWN621"] == 2
         assert payload["counts_by_rule"]["OWN611"] == 4
 
     def test_trace_exits_zero(self, trace_check):

@@ -2,8 +2,8 @@
 
 Covers :class:`HeapScheduler` directly (ordering, lazy-cancellation
 discard, compaction) and the engine-level behaviours built on it:
-lazy-pop ``peek_time``, the cancellation-leak fix and freelist recycling
-of ``post*`` events.
+lazy-pop ``peek_time``, the cancellation-leak fix and ``post_batch``
+ordering.
 """
 
 import pytest
@@ -148,25 +148,8 @@ def test_peek_time_many_cancelled():
 
 
 # ----------------------------------------------------------------------
-# Freelist recycling of post* events
+# post_batch
 # ----------------------------------------------------------------------
-def test_post_events_are_recycled():
-    sim = Simulator()
-    for _ in range(10):
-        sim.post(1.0, lambda: None)
-    sim.run()
-    recycled = list(sim._freelist)
-    assert len(recycled) == 10
-    # The same objects are reused for subsequent posts...
-    sim.post(1.0, lambda: None)
-    assert sim._freelist == recycled[:-1]
-    # ...and schedule() handles are never recycled (they can escape).
-    handle = sim.schedule(1.0, lambda: None)
-    assert not handle.reusable
-    sim.run()
-    assert handle not in sim._freelist
-
-
 def test_post_batch_runs_in_args_order():
     sim = Simulator()
     fired = []

@@ -9,9 +9,8 @@ that the combination cannot reorder or drop pending injections:
 
 * an outstanding peek must survive an earlier insertion and a full
   compaction rebuild;
-* recycled (freelisted) ``post_at`` events must stay well-ordered
-  through cancel churn — the wire path means every cross-shard delivery
-  is such an event;
+* ``post_at`` events must stay well-ordered through cancel churn — the
+  wire path means every cross-shard delivery is such an event;
 * at the coordinator level, a cancel-churn workload compacting mid-
   window must stay partition-invariant.
 """
@@ -84,8 +83,8 @@ def test_compaction_cannot_resurrect_or_drop(monkeypatch):
 
 
 def test_freelist_reuse_survives_cancel_churn(monkeypatch):
-    """post_at events are recycled through a freelist after firing; the
-    cross-shard inject path reuses them at wire speed. Reused carcasses
+    """The cross-shard inject path queues its deliveries with post_at.
+    Waves of them, interleaved with timers that are mostly cancelled,
     must order correctly against cancel churn and compaction."""
     monkeypatch.setattr(scheduler_module, "COMPACT_MIN_EVENTS", 8)
     sim = Simulator()
@@ -93,8 +92,8 @@ def test_freelist_reuse_survives_cancel_churn(monkeypatch):
     def wave(round_index):
         if round_index >= 30:
             return
-        # Each wave posts recyclable events (exercising freelist reuse),
-        # plus cancellable timers, most of which die -> compaction.
+        # Each wave posts fire-and-forget events, plus cancellable
+        # timers, most of which die -> compaction.
         for i in range(8):
             sim.post_at(sim.now + 1.0 + i * 0.1, fired.append,
                         (round_index, i))
