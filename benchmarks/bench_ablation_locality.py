@@ -23,19 +23,12 @@ DUR = dict(warmup_ms=4 if QUICK else 8, measure_ms=8 if QUICK else 20)
 
 
 def run_case(falcon, locality_off):
-    bed = Testbed(mode="overlay", falcon=falcon)
+    costs = CostModel()
+    if locality_off:
+        costs = replace(costs, softirq_switch=FuncCost(0.0))
+    bed = Testbed(mode="overlay", falcon=falcon, costs=costs)
     if locality_off:
         bed.host.machine.locality = LocalityModel.uniform()
-        costs = replace(bed.stack.costs, softirq_switch=FuncCost(0.0))
-        bed.stack.costs = costs
-        # Rebuild stages so the new cost model is used.
-        from repro.kernel.stack import NetworkStack
-
-        bed.host.config.costs = costs
-        bed.host.stack = NetworkStack(bed.host.machine, bed.host.config)
-        bed.host.machine.locality = LocalityModel.uniform()
-        bed.stack = bed.host.stack
-        bed.window.stack = bed.stack
     bed.add_udp_flow(16, clients=3)
     return bed.run(**DUR)
 

@@ -17,7 +17,6 @@ from dataclasses import replace
 
 from repro import FalconConfig
 from repro.kernel.costs import CostModel, FuncCost
-from repro.kernel.stack import NetworkStack
 from repro.metrics.report import Table
 from repro.workloads.sockperf import Testbed
 
@@ -25,12 +24,7 @@ from repro.workloads.sockperf import Testbed
 def run_variant(name: str, costs: CostModel, table: Table) -> None:
     rates = {}
     for mode, falcon in (("Con", None), ("Falcon", FalconConfig())):
-        bed = Testbed(mode="overlay", falcon=falcon)
-        # Swap in the custom cost model and rebuild the receive stack.
-        bed.host.config.costs = costs
-        bed.host.stack = NetworkStack(bed.host.machine, bed.host.config)
-        bed.stack = bed.host.stack
-        bed.window.stack = bed.stack
+        bed = Testbed(mode="overlay", falcon=falcon, costs=costs)
         bed.add_udp_flow(16, clients=3)
         result = bed.run(warmup_ms=8, measure_ms=15)
         rates[mode] = result.message_rate_pps

@@ -20,6 +20,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.config import FalconConfig
+from repro.kernel.costs import CostModel
 from repro.metrics.report import Table
 from repro.workloads.sockperf import Experiment, RunResult
 
@@ -39,7 +40,7 @@ def _experiment(args) -> Experiment:
     return Experiment(
         mode=args.mode,
         falcon=_falcon_from_args(args),
-        kernel=args.kernel,
+        costs=CostModel.for_kernel(args.kernel),
         bandwidth_gbps=args.bandwidth,
         steering=args.steering,
         seed=args.seed,
@@ -392,7 +393,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 else None
             )
             exp = Experiment(
-                mode=mode, falcon=falcon, kernel=args.kernel,
+                mode=mode, falcon=falcon,
+                costs=CostModel.for_kernel(args.kernel),
                 bandwidth_gbps=args.bandwidth, seed=args.seed,
             )
             result = exp.run_udp_fixed(

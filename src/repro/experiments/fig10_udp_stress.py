@@ -9,6 +9,7 @@ overlay stays far behind for small messages.
 from __future__ import annotations
 
 from repro.experiments.runner import ExperimentOutput, durations, standard_modes
+from repro.kernel.costs import CostModel
 from repro.metrics.report import Table
 from repro.workloads.sockperf import Experiment
 
@@ -46,7 +47,11 @@ def run(quick: bool = False) -> ExperimentOutput:
             for size in sizes:
                 values = {}
                 for label, kwargs in standard_modes():
-                    kwargs = dict(kwargs, kernel=kernel, bandwidth_gbps=bandwidth)
+                    kwargs = dict(
+                        kwargs,
+                        costs=CostModel.for_kernel(kernel),
+                        bandwidth_gbps=bandwidth,
+                    )
                     result = _run_case(kwargs, size, dur, quick)
                     values[label] = result.message_rate_pps
                 host = values["Host"] or 1.0

@@ -21,13 +21,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
 
-from repro.metrics.cpuacct import CpuAccounting
+from repro.metrics.cpuacct import HARDIRQ, SOFTIRQ, USER, CpuAccounting
 from repro.sim.engine import Simulator
-
-#: Execution contexts in dispatch-priority order.
-HARDIRQ = 0
-SOFTIRQ = 1
-USER = 2
 
 _NUM_CONTEXTS = 3
 

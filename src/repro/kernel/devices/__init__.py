@@ -15,19 +15,15 @@ Device indexes (``ifindex``) are what Falcon mixes into its CPU hash.
 """
 
 from repro.kernel.devices.base import (
-    IFINDEX_BRIDGE,
     IFINDEX_PNIC,
     IFINDEX_PNIC_SPLIT,
     IFINDEX_VETH,
     IFINDEX_VXLAN,
-    NetDevice,
 )
 
 __all__ = [
-    "NetDevice",
     "IFINDEX_PNIC",
     "IFINDEX_VXLAN",
-    "IFINDEX_BRIDGE",
     "IFINDEX_VETH",
     "IFINDEX_PNIC_SPLIT",
 ]

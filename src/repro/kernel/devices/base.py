@@ -1,4 +1,4 @@
-"""Device registry and indexes.
+"""Device indexes.
 
 ``ifindex`` values follow the usual Linux layout on a Docker-overlay host:
 low indexes for physical devices, higher for virtual ones. The exact
@@ -8,14 +8,10 @@ they are *distinct*, so ``hash_32(skb.hash + ifindex)`` separates stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: The physical NIC.
 IFINDEX_PNIC = 2
 #: The VXLAN tunnel endpoint device.
 IFINDEX_VXLAN = 3
-#: The Linux bridge (docker0 / br0).
-IFINDEX_BRIDGE = 4
 #: The host-side veth peer of the container.
 IFINDEX_VETH = 5
 #: Synthetic index for the offloaded half of a split pNIC stage.
@@ -25,22 +21,3 @@ IFINDEX_PNIC_SPLIT = 1002
 #: distinct from every real stage).
 IFINDEX_FASTPATH = 1003
 
-
-@dataclass(frozen=True)
-class NetDevice:
-    """A registered network device."""
-
-    name: str
-    ifindex: int
-    #: True for NAPI devices (drive their own poll function); veth is not
-    #: a NAPI device, which is why it goes through process_backlog
-    #: (Section 3.1).
-    napi: bool = True
-
-
-PNIC = NetDevice("eth0", IFINDEX_PNIC)
-VXLAN = NetDevice("vxlan0", IFINDEX_VXLAN)
-BRIDGE = NetDevice("br0", IFINDEX_BRIDGE)
-VETH = NetDevice("veth0", IFINDEX_VETH, napi=False)
-
-ALL_DEVICES = (PNIC, VXLAN, BRIDGE, VETH)

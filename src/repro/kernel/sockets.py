@@ -130,7 +130,6 @@ class SocketTable:
 
     def __init__(self) -> None:
         self._by_flow: Dict[int, Socket] = {}
-        self.unroutable = 0
 
     def bind(self, flow: FlowKey, socket: Socket) -> None:
         self._by_flow[flow.flow_id] = socket

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.hw.cpu import SOFTIRQ
+from repro.hw.cpu import HARDIRQ, SOFTIRQ
 from repro.hw.nic import Nic, RxQueue
 from repro.hw.topology import Machine
 from repro.kernel.costs import CostModel
@@ -93,13 +93,6 @@ class BacklogNapi(Napi):
         self.queue: Deque[WorkItem] = deque()
         self.capacity = capacity
         self.drops = 0
-
-    def enqueue(self, skb: Skb, stage: Stage) -> bool:
-        if len(self.queue) >= self.capacity:
-            self.drops += 1
-            return False
-        self.queue.append((skb, stage))
-        return True
 
     def take(self, max_items: int) -> List[WorkItem]:
         queue = self.queue
@@ -198,12 +191,9 @@ class SoftirqNet:
     # ------------------------------------------------------------------
     # Hardware interrupt entry
     # ------------------------------------------------------------------
-    def attach_nic(self, nic: Nic, driver_stage: Stage, napi_weight: int = 64) -> None:
+    def attach_nic(self, nic: Nic, driver_stage: Stage) -> None:
         """Install this subsystem as the NIC's IRQ handler."""
-        napis = {
-            queue.index: DriverNapi(queue, driver_stage, weight=napi_weight)
-            for queue in nic.queues
-        }
+        napis = {queue.index: DriverNapi(queue, driver_stage) for queue in nic.queues}
 
         def irq_handler(queue: RxQueue) -> None:
             cpu_index = queue.irq_cpu
@@ -211,7 +201,7 @@ class SoftirqNet:
             cpu = self.machine.cpus[cpu_index]
             napi = napis[queue.index]
             cpu.submit(
-                0,  # HARDIRQ context
+                HARDIRQ,
                 "pnic_interrupt",
                 self.costs.hardirq.fixed,
                 self.raise_net_rx,

@@ -69,37 +69,21 @@ class StackConfig:
 
     #: ``host`` (native network) or ``overlay`` (Docker/VXLAN).
     mode: str = MODE_OVERLAY
-    #: Kernel version cost profile: ``4.19`` or ``5.4``.
-    kernel: str = "4.19"
-    #: Explicit cost model (overrides ``kernel`` when given).
-    costs: Optional[CostModel] = None
-    #: Hardware queue count and IRQ affinity of the NIC.
-    nic_queues: int = 1
-    ring_capacity: int = 1024
+    #: Service times; ``CostModel.for_kernel("5.4")`` picks the other
+    #: kernel profile.
+    costs: CostModel = field(default_factory=CostModel)
+    #: IRQ affinity of the NIC, one CPU per hardware queue.
     irq_cpus: Optional[List[int]] = None
     #: RPS CPU set (the kernel's ``rps_cpus`` mask); None disables RPS.
     rps_cpus: Optional[List[int]] = field(default_factory=lambda: [1])
     #: Steering flavour over ``rps_cpus``: "rps" (hash) or "rfs"
     #: (flow table pointing at the consuming application's core).
     steering: str = "rps"
-    backlog_capacity: int = 1000
-    napi_weight: int = 64
-    napi_budget: int = 300
-    #: Max packets bundled into one simulated work item.
-    batch_max: int = 16
     gro_enabled: bool = True
-    rmem_packets: int = 4096
-    load_tick_us: float = 500.0
-    load_alpha: float = 0.5
     #: Falcon configuration; None builds a vanilla stack.
     falcon: Optional[FalconConfig] = None
     #: ONCache-style flow cache; None (or disabled) keeps two datapaths.
     flowcache: Optional[FlowCacheConfig] = None
-
-    def resolve_costs(self) -> CostModel:
-        return self.costs if self.costs is not None else CostModel.for_kernel(
-            self.kernel
-        )
 
 
 class NetworkStack:
@@ -119,19 +103,12 @@ class NetworkStack:
         self.ctx = machine.ctx
         self.sim = self.ctx.sim
         self.machine = machine
-        self.config = config
-        self.costs = config.resolve_costs()
-        if self.ctx.costs is None:
-            self.ctx.costs = self.costs
+        self.costs = config.costs
         self.is_overlay = config.mode == MODE_OVERLAY
 
         # --- hardware ----------------------------------------------------
-        irq_cpus = config.irq_cpus or [0] * config.nic_queues
-        self.nic = Nic(
-            num_queues=config.nic_queues,
-            ring_capacity=config.ring_capacity,
-            irq_cpus=irq_cpus,
-        )
+        irq_cpus = config.irq_cpus or [0]
+        self.nic = Nic(num_queues=len(irq_cpus), irq_cpus=irq_cpus)
 
         # --- steering ----------------------------------------------------
         if config.rps_cpus:
@@ -169,15 +146,7 @@ class NetworkStack:
         self.defrag.flowcache = self.flowcache
 
         # --- softirq subsystem ---------------------------------------------
-        self.softnet = SoftirqNet(
-            machine,
-            self.costs,
-            stack=self,
-            budget=config.napi_budget,
-            napi_weight=config.napi_weight,
-            batch_max=config.batch_max,
-            backlog_capacity=config.backlog_capacity,
-        )
+        self.softnet = SoftirqNet(machine, self.costs, stack=self)
         self.softnet.flowcache = self.flowcache
 
         # --- sockets ---------------------------------------------------------
@@ -195,17 +164,10 @@ class NetworkStack:
         # --- stage graph -------------------------------------------------
         self.stages: dict = {}
         self._build_stages()
-        self.softnet.attach_nic(
-            self.nic, self.stages["pnic"], napi_weight=config.napi_weight
-        )
+        self.softnet.attach_nic(self.nic, self.stages["pnic"])
 
         # --- timers ------------------------------------------------------
-        self.load_tracker = LoadTracker(
-            machine,
-            self.costs,
-            tick_us=config.load_tick_us,
-            alpha=config.load_alpha,
-        )
+        self.load_tracker = LoadTracker(machine, self.costs)
         self.load_tracker.start()
 
     # ------------------------------------------------------------------
@@ -398,7 +360,6 @@ class NetworkStack:
         socket = self.sockets.lookup(skb.flow)
         if socket is None:
             self.unroutable_packets += 1
-            self.sockets.unroutable += 1
             if monitor is not None:
                 monitor.on_terminal(skb, "unroutable")
             return
@@ -424,18 +385,10 @@ class NetworkStack:
         flow: FlowKey,
         app_cpu: int,
         on_message: Optional[MessageCallback] = None,
-        rmem_packets: Optional[int] = None,
         name: str = "sock",
     ) -> Socket:
         """Create a socket bound to ``flow`` with its reader on ``app_cpu``."""
-        socket = Socket(
-            self.sim,
-            app_cpu,
-            self.costs,
-            on_message=on_message,
-            rmem_packets=rmem_packets or self.config.rmem_packets,
-            name=name,
-        )
+        socket = Socket(self.sim, app_cpu, self.costs, on_message=on_message, name=name)
         socket.machine = self.machine
         self.sockets.bind(flow, socket)
         self._record_rfs_consumer(flow, socket)

@@ -16,6 +16,7 @@ from typing import List, Optional
 from repro.hw.topology import Machine
 from repro.kernel.costs import CostModel
 from repro.metrics.counters import TIMER
+from repro.metrics.cpuacct import HARDIRQ
 
 
 class LoadTracker:
@@ -53,7 +54,7 @@ class LoadTracker:
         machine.interrupts.record(TIMER, self.timer_cpu)
         # The bookkeeping itself costs a little CPU on the timer core.
         machine.cpus[self.timer_cpu].submit(
-            0, "do_timer", self.costs.do_timer.fixed
+            HARDIRQ, "do_timer", self.costs.do_timer.fixed
         )
         alpha = self.alpha
         for index, cpu in enumerate(machine.cpus):

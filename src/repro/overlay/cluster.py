@@ -55,6 +55,12 @@ RECORD_CREDIT = "credit"
 #: tells each sender host to drop its egress fast-path entry.
 RECORD_INVAL = "inval"
 
+#: Cores per cluster host.
+HOST_CPUS = 8
+#: Packet-tracer sampling of a traced cluster run (``ClusterSpec.trace``).
+TRACE_SAMPLE_EVERY = 10
+TRACE_MAX_MESSAGES = 64
+
 
 def host_ip(host: int) -> int:
     """10.0.0.(host+1) — the underlay address of a cluster host."""
@@ -104,15 +110,12 @@ class ClusterSpec:
     flows: Tuple[ClusterFlow, ...]
     seed: int = 0
     falcon: bool = False
-    num_cpus: int = 8
     bandwidth_gbps: float = 10.0
     #: Inter-host propagation delay — the sharded engine's lookahead.
     propagation_us: float = 5.0
     warmup_us: float = 2000.0
     duration_us: float = 5000.0
     trace: bool = False
-    trace_sample_every: int = 10
-    trace_max: int = 64
     #: Enable the per-flow fast-path cache on every host's stack.
     flowcache: bool = False
     flowcache_capacity: int = 128
@@ -158,14 +161,11 @@ class ClusterSpec:
             tuple(flow.to_wire() for flow in self.flows),
             self.seed,
             self.falcon,
-            self.num_cpus,
             self.bandwidth_gbps,
             self.propagation_us,
             self.warmup_us,
             self.duration_us,
             self.trace,
-            self.trace_sample_every,
-            self.trace_max,
             self.flowcache,
             self.flowcache_capacity,
             tuple(tuple(entry) for entry in self.churn),
@@ -364,18 +364,11 @@ class _ClusterHost:
             if spec.flowcache
             else None
         )
-        config = StackConfig(
-            mode=MODE_OVERLAY,
-            irq_cpus=[0],
-            rps_cpus=[1],
-            steering="rps",
-            falcon=falcon,
-            flowcache=flowcache,
-        )
+        config = StackConfig(mode=MODE_OVERLAY, falcon=falcon, flowcache=flowcache)
         self.host = Host(
             sim,
             config,
-            num_cpus=spec.num_cpus,
+            num_cpus=HOST_CPUS,
             host_ip=host_ip(index),
             name=f"host{index}",
             seed=spec.seed * 1_000_003 + index,
@@ -390,7 +383,7 @@ class _ClusterHost:
         self.tracer: Optional[PacketTracer] = None
         if spec.trace:
             self.tracer = PacketTracer(
-                sample_every=spec.trace_sample_every, max_messages=spec.trace_max
+                sample_every=TRACE_SAMPLE_EVERY, max_messages=TRACE_MAX_MESSAGES
             )
             self.host.stack.tracer = self.tracer
         #: flow index → this host's FlowKey instance (receive side).

@@ -36,7 +36,6 @@ class Container:
         app_cpu: int,
         on_message: Optional[MessageCallback] = None,
         proto: int = PROTO_UDP,
-        rmem_packets: Optional[int] = None,
     ) -> Socket:
         """Open a server socket inside the container.
 
@@ -48,7 +47,6 @@ class Container:
             FlowKey(src_ip=0, dst_ip=self.private_ip, proto=proto, sport=0, dport=port),
             app_cpu=app_cpu,
             on_message=on_message,
-            rmem_packets=rmem_packets,
             name=f"{self.name}:{port}",
         )
         return socket

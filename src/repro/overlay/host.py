@@ -38,8 +38,7 @@ class Host:
         #: here, once, and threaded through machine and stack.
         self.ctx = SimContext(sim=sim, rng=RngRegistry(seed), name=name)
         self.machine = Machine(sim, num_cpus=num_cpus, name=name, ctx=self.ctx)
-        self.config = config or StackConfig()
-        self.stack = NetworkStack(self.machine, self.config)
+        self.stack = NetworkStack(self.machine, config or StackConfig())
         self.containers: Dict[str, Container] = {}
         #: Ingress link (remote sender → this host's NIC); set by the
         #: testbed/OverlayNetwork wiring.

@@ -1,9 +1,8 @@
 """Per-run simulation context.
 
 A :class:`SimContext` bundles everything one simulation run owns — the
-event loop, the seeded RNG registry, the cost model, and the optional
-monitor / trace sinks — into a single object constructed once per run
-and threaded through the hardware and kernel layers. Before this
+event loop, the seeded RNG registry, and the optional monitor / trace
+sinks — into a single object constructed once per run and threaded through the hardware and kernel layers. Before this
 existed, each component carried its own ``sim`` / ``rng`` / ``monitor``
 attributes wired up ad hoc, which made it easy for two "isolated" stacks
 in one process to share state by accident. With an explicit context:
@@ -32,13 +31,10 @@ the per-event cost of an unmonitored run stays one attribute check.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import Any, List, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-
-if TYPE_CHECKING:  # CostModel lives a layer above repro.sim.
-    from repro.kernel.costs import CostModel
 
 
 class SimContext:
@@ -55,16 +51,12 @@ class SimContext:
         self,
         sim: Optional[Simulator] = None,
         rng: Optional[RngRegistry] = None,
-        costs: Optional["CostModel"] = None,
         *,
         seed: int = 0,
         name: str = "run",
     ) -> None:
         self.sim = sim if sim is not None else Simulator()
         self.rng = rng if rng is not None else RngRegistry(seed)
-        #: The run's cost model; filled in by the stack when it resolves
-        #: its configuration, or passed explicitly.
-        self.costs: Optional["CostModel"] = costs
         self.name = name
         #: Optional :class:`repro.validate.InvariantMonitor`.
         self.monitor: Optional[Any] = None

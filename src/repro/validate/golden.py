@@ -272,7 +272,7 @@ def run_golden_scenario(spec: Dict, duration_ms: float = 5.0, warmup_ms: float =
     return serialize_traces(tracer, meta=meta)
 
 
-def cluster_spec_for(spec: Dict, shards_hint: int = 1):
+def cluster_spec_for(spec: Dict):
     """Build the ClusterSpec behind one cluster golden scenario."""
     from repro.overlay.cluster import (
         tcp_ring_spec,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.config import FalconConfig, FlowCacheConfig
+from repro.kernel.costs import CostModel
 from repro.workloads.sockperf import RunResult, Testbed
 from repro.workloads.traffic import HotspotSchedule
 
@@ -43,7 +44,7 @@ def run_multiflow_udp(
         mode=mode,
         falcon=falcon,
         flowcache=flowcache,
-        kernel=kernel,
+        costs=CostModel.for_kernel(kernel),
         bandwidth_gbps=bandwidth_gbps,
         rps_cpus=rps_cpus if rps_cpus is not None else [1, 2],
         app_cpus=app_cpus or list(range(10, 16)),
@@ -74,7 +75,7 @@ def run_multiflow_tcp(
         mode=mode,
         falcon=falcon,
         flowcache=flowcache,
-        kernel=kernel,
+        costs=CostModel.for_kernel(kernel),
         bandwidth_gbps=bandwidth_gbps,
         rps_cpus=rps_cpus if rps_cpus is not None else [1, 2],
         app_cpus=app_cpus or list(range(10, 16)),

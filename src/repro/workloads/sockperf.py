@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.config import FalconConfig, FlowCacheConfig
+from repro.kernel.costs import CostModel
 from repro.kernel.skb import PROTO_TCP, PROTO_UDP, FlowKey
 from repro.kernel.stack import MODE_HOST, MODE_OVERLAY, StackConfig
 from repro.metrics.meters import MeasurementWindow
@@ -103,36 +104,28 @@ class Testbed:
         mode: str = MODE_OVERLAY,
         falcon: Optional[FalconConfig] = None,
         flowcache: Optional[FlowCacheConfig] = None,
-        kernel: str = "4.19",
+        costs: Optional[CostModel] = None,
         bandwidth_gbps: float = 100.0,
-        num_cpus: int = 20,
         irq_cpus: Optional[List[int]] = None,
         rps_cpus: Optional[List[int]] = None,
         steering: str = "rps",
         app_cpus: Optional[List[int]] = None,
         gro: bool = True,
-        batch_max: int = 16,
-        backlog_capacity: int = 1000,
-        rmem_packets: int = 4096,
         seed: int = 0,
     ) -> None:
         self.sim = Simulator()
         self.mode = mode
         config = StackConfig(
             mode=mode,
-            kernel=kernel,
-            irq_cpus=irq_cpus or [0],
-            nic_queues=len(irq_cpus or [0]),
+            costs=costs or CostModel(),
+            irq_cpus=irq_cpus,
             rps_cpus=rps_cpus if rps_cpus is not None else [1],
             steering=steering,
             falcon=falcon,
             flowcache=flowcache,
             gro_enabled=gro,
-            batch_max=batch_max,
-            backlog_capacity=backlog_capacity,
-            rmem_packets=rmem_packets,
         )
-        self.host = Host(self.sim, config, num_cpus=num_cpus, name="server", seed=seed)
+        self.host = Host(self.sim, config, name="server", seed=seed)
         self.stack = self.host.stack
         self.link = self.host.attach_ingress(bandwidth_gbps)
         self.app_cpus = app_cpus or [2]

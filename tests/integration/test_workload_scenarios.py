@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import FalconConfig
+from repro.kernel.costs import CostModel
 from repro.workloads.multiflow import (
     run_hotspot,
     run_multicontainer,
@@ -78,7 +79,8 @@ class TestExperimentApi:
         assert plateau.message_rate_pps <= stress.offered_pps * 1.05
 
     def test_kernel_5_4_runs(self):
-        result = Experiment(mode="overlay", kernel="5.4").run_udp_stress(16, **FAST)
+        exp = Experiment(mode="overlay", costs=CostModel.for_kernel("5.4"))
+        result = exp.run_udp_stress(16, **FAST)
         assert result.message_rate_pps > 0
 
     def test_seed_changes_flow_placement(self):

@@ -99,8 +99,6 @@ def test_stack_joins_the_machine_context():
     stack = NetworkStack(machine, StackConfig())
     assert stack.ctx is machine.ctx
     assert stack.sim is ctx.sim
-    # The stack published its cost model into the context.
-    assert ctx.costs is stack.costs
 
     bare = Machine(Simulator(), num_cpus=2)
     assert NetworkStack(bare, StackConfig()).ctx is bare.ctx

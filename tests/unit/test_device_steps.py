@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro.hw.topology import Machine
 from repro.kernel.costs import VXLAN_OVERHEAD, CostModel
 from repro.kernel.defrag import DefragEngine
-from repro.kernel.devices.base import ALL_DEVICES, VETH
+from repro.kernel.devices.base import (
+    IFINDEX_FASTPATH,
+    IFINDEX_PNIC,
+    IFINDEX_PNIC_SPLIT,
+    IFINDEX_VETH,
+    IFINDEX_VXLAN,
+)
 from repro.kernel.devices.bridge import bridge_step
 from repro.kernel.devices.physical import (
     driver_first_half_steps,
@@ -17,6 +24,7 @@ from repro.kernel.devices.vxlan import outer_stack_steps
 from repro.kernel.gro import GroCluster
 from repro.kernel.protocol import defrag_step, l4_rcv_step, stack_tail_steps
 from repro.kernel.skb import PROTO_TCP, PROTO_UDP, FlowKey, Skb
+from repro.kernel.stack import NetworkStack, StackConfig
 from repro.sim.engine import Simulator
 
 
@@ -36,11 +44,21 @@ def tcp_skb(size=1000, frag_count=1, frag_index=0):
 
 class TestDeviceRegistry:
     def test_ifindexes_distinct(self):
-        indexes = [device.ifindex for device in ALL_DEVICES]
+        indexes = [
+            IFINDEX_PNIC,
+            IFINDEX_VXLAN,
+            IFINDEX_VETH,
+            IFINDEX_PNIC_SPLIT,
+            IFINDEX_FASTPATH,
+        ]
         assert len(set(indexes)) == len(indexes)
 
     def test_veth_is_not_napi(self):
-        assert not VETH.napi  # why it uses process_backlog (Section 3.1)
+        # veth has no poll function of its own, so the container stage
+        # starts from the per-CPU backlog (Section 3.1).
+        machine = Machine(Simulator(), num_cpus=2)
+        stack = NetworkStack(machine, StackConfig(mode="overlay"))
+        assert stack.stages["container"].steps[0].name == "process_backlog"
 
 
 class TestDriverSteps:

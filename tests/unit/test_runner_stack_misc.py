@@ -1,5 +1,7 @@
 """Unit tests: experiment runner helpers, stack config, misc plumbing."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import FalconConfig
@@ -9,6 +11,7 @@ from repro.experiments.runner import (
     falcon_config,
     standard_modes,
 )
+from repro.hw.cache import LocalityModel
 from repro.hw.topology import Machine
 from repro.kernel.stack import MODE_HOST, MODE_OVERLAY, NetworkStack, StackConfig
 from repro.metrics.report import Table
@@ -16,8 +19,16 @@ from repro.sim.engine import Simulator
 from repro.sim.errors import ConfigurationError
 from repro.workloads.apps import ResponseChannel
 from repro.hw.link import Link
-from repro.kernel.costs import CostModel
+from repro.kernel.costs import (
+    IP_HEADER,
+    UDP_HEADER,
+    VXLAN_OVERHEAD,
+    CostModel,
+    FuncCost,
+)
 from repro.kernel.skb import PROTO_TCP, FlowKey
+from repro.metrics.counters import TIMER
+from repro.workloads.sockperf import Testbed
 
 
 class TestRunner:
@@ -61,10 +72,37 @@ class TestStackConfig:
         with pytest.raises(ConfigurationError):
             NetworkStack(machine, StackConfig(mode="bridge"))
 
-    def test_costs_override_wins_over_kernel(self):
-        custom = CostModel.kernel_5_4()
-        config = StackConfig(mode=MODE_HOST, kernel="4.19", costs=custom)
-        assert config.resolve_costs() is custom
+    def test_config_costs_reach_the_stack(self):
+        custom = CostModel.for_kernel("5.4")
+        machine = Machine(Simulator(), num_cpus=4)
+        stack = NetworkStack(machine, StackConfig(mode=MODE_HOST, costs=custom))
+        assert stack.costs is custom
+        assert stack.softnet.costs is custom
+        assert stack.load_tracker.costs is custom
+
+    def test_testbed_costs_build_one_stack(self):
+        """A what-if cost model goes in at build time: every packet pays
+        its ``vxlan_rcv`` price, and exactly one load tracker ticks on
+        the host (one ``TIMER`` interrupt and one ``do_timer`` charge per
+        tick)."""
+        costs = replace(CostModel(), vxlan_rcv=FuncCost(0.55, 0.0002))
+        bed = Testbed(mode="overlay", costs=costs)
+        machine = bed.host.machine
+        machine.locality = LocalityModel.uniform()
+        bed.add_udp_flow(16, rate_pps=50_000.0)
+        bed.run(warmup_ms=2, measure_ms=4)
+
+        ticks = bed.stack.load_tracker.ticks
+        assert ticks == 12  # one 500 us tick per period of the 6 ms run
+        assert machine.interrupts.on_cpu(TIMER, 0) == ticks
+        assert machine.acct.busy_us_label(0, "do_timer") == pytest.approx(
+            ticks * costs.do_timer.fixed
+        )
+        packets = bed.stack.softnet.stage_executions["hoststack_outer"]
+        assert packets > 0
+        outer_size = 16 + UDP_HEADER + IP_HEADER + VXLAN_OVERHEAD
+        per_packet = machine.acct.total_by_label()["vxlan_rcv"] / packets
+        assert per_packet == pytest.approx(costs.vxlan_rcv.cost(outer_size))
 
     def test_host_mode_has_no_overlay_stages(self):
         sim = Simulator()

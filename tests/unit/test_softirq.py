@@ -204,16 +204,21 @@ class TestBacklogNapi:
     def test_take_respects_limit(self):
         napi = BacklogNapi(capacity=100)
         stage, _ = simple_stage()
-        for i in range(10):
-            napi.enqueue(make_skb(i), stage)
+        napi.queue.extend((make_skb(i), stage) for i in range(10))
         items = napi.take(3)
         assert len(items) == 3
         assert napi.has_work()
 
     def test_capacity_drop(self):
-        napi = BacklogNapi(capacity=2)
+        sim, machine, softnet = make_env(backlog_capacity=2)
         stage, _ = simple_stage()
-        assert napi.enqueue(make_skb(1), stage)
-        assert napi.enqueue(make_skb(2), stage)
-        assert not napi.enqueue(make_skb(3), stage)
+        for i in range(3):
+            softnet.enqueue_backlog(1, make_skb(i), stage, from_cpu=0)
+        napi = softnet.data[1].queue_for(stage)
+        # Cross-CPU enqueues stop at the backlog's capacity...
+        assert len(napi.queue) == 2
+        assert napi.drops == 1
+        # ...while the target core's own re-injections are admitted.
+        softnet.enqueue_backlog(1, make_skb(3), stage, from_cpu=1)
+        assert len(napi.queue) == 3
         assert napi.drops == 1
