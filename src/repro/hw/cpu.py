@@ -46,7 +46,6 @@ class Cpu:
         "_running",
         "busy_us_total",
         "load",
-        "_dispatch_scheduled",
         "monitor",
     )
 
@@ -61,7 +60,6 @@ class Cpu:
         #: Recent utilization in [0, 1]; refreshed by the kernel timer tick.
         #: This is the per-CPU load Algorithm 1 consults (``cpu.load``).
         self.load = 0.0
-        self._dispatch_scheduled = False
         #: Optional :class:`repro.validate.InvariantMonitor` hook (None
         #: when validation is not attached — the common case).
         self.monitor = None
@@ -101,13 +99,11 @@ class Cpu:
         self._maybe_dispatch()
 
     def _maybe_dispatch(self) -> None:
-        if self._running is not None or self._dispatch_scheduled:
+        if self._running is not None:
             return
-        for context in range(_NUM_CONTEXTS):
-            queue = self._queues[context]
+        for context, queue in enumerate(self._queues):
             if queue:
-                item = queue.popleft()
-                self._start(context, item)
+                self._start(context, queue.popleft())
                 return
 
     def _start(self, context: int, item: tuple) -> None:
@@ -115,10 +111,7 @@ class Cpu:
         self._running = item
         if duration is None:
             # Multi-charge item: ``label`` is a list of (label, µs) pairs.
-            duration = 0.0
-            for sub_label, sub_duration in label:
-                self.acct.charge(self.index, context, sub_label, sub_duration)
-                duration += sub_duration
+            duration = self.acct.charge_batch(self.index, context, label)
         else:
             self.acct.charge(self.index, context, label, duration)
         if self.monitor is not None:

@@ -23,6 +23,7 @@ authors' testbed; EXPERIMENTS.md compares shapes, not absolutes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
@@ -44,6 +45,12 @@ class FuncCost:
 
     fixed: float
     per_byte: float = 0.0
+
+    def __post_init__(self) -> None:
+        # Checked once per config: a negative cost would otherwise fail
+        # mid-run (a past-dated event) or vanish (stages drop costs <= 0).
+        if not all(math.isfinite(v) and v >= 0 for v in (self.fixed, self.per_byte)):
+            raise ValueError(f"cost terms must be finite and >= 0: {self!r}")
 
     def cost(self, nbytes: int) -> float:
         return self.fixed + self.per_byte * nbytes

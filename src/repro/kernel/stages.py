@@ -36,19 +36,15 @@ Charge = Tuple[str, float]
 CostFn = Callable[[Skb], float]
 
 
-def fixed_cost(cost: FuncCost) -> CostFn:
-    """Adapt a :class:`FuncCost` (fixed + per-byte) into a step cost fn."""
-
-    def _cost(skb: Skb) -> float:
-        return cost.cost(skb.size)
-
-    return _cost
-
-
 class Step:
-    """One kernel function in a stage: a cost plus an optional effect."""
+    """One kernel function in a stage: a cost plus an optional effect.
 
-    __slots__ = ("name", "cost", "effect")
+    A :meth:`simple` step also keeps its :class:`FuncCost` terms in
+    ``fixed`` and ``per_byte`` (``fixed`` is None for any other step), so
+    a :class:`Stage` computes its cost inline instead of calling ``cost``.
+    """
+
+    __slots__ = ("name", "cost", "effect", "fixed", "per_byte")
 
     def __init__(
         self, name: str, cost: CostFn, effect: Optional[Effect] = None
@@ -56,12 +52,16 @@ class Step:
         self.name = name
         self.cost = cost
         self.effect = effect
+        self.fixed: Optional[float] = None
+        self.per_byte = 0.0
 
     @classmethod
     def simple(
         cls, name: str, cost: FuncCost, effect: Optional[Effect] = None
     ) -> "Step":
-        return cls(name, fixed_cost(cost), effect)
+        step = cls(name, lambda skb: cost.cost(skb.size), effect)
+        step.fixed, step.per_byte = cost.fixed, cost.per_byte
+        return step
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Step {self.name}>"
@@ -164,6 +164,8 @@ class Stage:
         #: The device index Falcon mixes into its hash (``dev->ifindex``).
         self.ifindex = ifindex
         self.steps = steps
+        #: Step costs resolved once: run_item reads only these tuples.
+        self._plan = [(s.name, s.cost, s.fixed, s.per_byte, s.effect) for s in steps]
         self.exit = exit
         #: Optional end-of-batch hook (GRO flush) returning held packets.
         self.flush = flush
@@ -181,12 +183,16 @@ class Stage:
         skb.dev_ifindex = self.ifindex
         charges: List[Charge] = []
         current: Optional[Skb] = skb
-        for step in self.steps:
-            cost = step.cost(current) * locality_multiplier
+        for name, cost_fn, fixed, per_byte, effect in self._plan:
+            if fixed is not None:
+                # FuncCost.cost(size), same float operations, no call.
+                cost = (fixed + per_byte * current.size) * locality_multiplier
+            else:
+                cost = cost_fn(current) * locality_multiplier
             if cost > 0.0:
-                charges.append((step.name, cost))
-            if step.effect is not None:
-                current = step.effect(current, cpu_index)
+                charges.append((name, cost))
+            if effect is not None:
+                current = effect(current, cpu_index)
                 if current is None:
                     break
         return charges, current

@@ -36,6 +36,19 @@ class CpuAccounting:
         key = (cpu, context, label)
         self._busy[key] = self._busy.get(key, 0.0) + duration
 
+    def charge_batch(
+        self, cpu: int, context: int, charges: Iterable[Tuple[str, float]]
+    ) -> float:
+        """:meth:`charge` each ``(label, µs)`` pair in order; return the
+        running sum ``0.0 + d1 + d2 + ...`` (one call per softirq batch)."""
+        busy = self._busy
+        total = 0.0
+        for label, duration in charges:
+            key = (cpu, context, label)
+            busy[key] = busy.get(key, 0.0) + duration
+            total += duration
+        return total
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -10,6 +10,8 @@ Design notes
 ------------
 * Events are lightweight ``__slots__`` objects so that per-packet work
   (which can mean hundreds of thousands of events per run) stays cheap.
+  :meth:`Simulator.run` makes one queue pop per event; an event past
+  ``until`` is pushed back under its own ``(time, seq)`` key.
 * Cancellation is lazy: a cancelled event stays queued and is skipped
   when popped. This keeps :meth:`Simulator.cancel` O(1); the queue
   compacts itself when dead entries dominate, so schedule-and-cancel
@@ -160,15 +162,14 @@ class Simulator:
             raise SimulationError("simulator has been halted")
         processed = 0
         scheduler = self._scheduler
-        while True:
-            event = scheduler.peek()
+        while max_events is None or processed < max_events:
+            event = scheduler.pop()
             if event is None:
                 break
             if until is not None and event.time > until:
+                # Not due yet: requeue it under its own (time, seq) key.
+                scheduler.push(event)
                 break
-            if max_events is not None and processed >= max_events:
-                break
-            scheduler.pop()
             if self.monitor is not None:
                 self.monitor.on_event(self.now, event.time)
             self.now = event.time

@@ -3,7 +3,9 @@
 :class:`HeapScheduler` orders events strictly by ``(time, seq)`` — ties
 in time break by insertion order, never by object identity — so a run's
 trace is a pure function of its schedule/cancel sequence (the golden
-suite pins this down).
+suite pins this down). The heap holds ``(time, seq, event)`` tuples, so
+``heapq`` compares keys in C; ``seq`` is unique per simulator, so a
+comparison never reaches the event itself.
 
 * **Lazy cancellation with compaction.** ``cancel`` stays O(1) (it only
   flags the event), but the queue counts dead entries and rebuilds
@@ -18,7 +20,7 @@ suite pins this down).
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Iterable, List, Optional
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.sim.events import Event
 
@@ -52,14 +54,14 @@ class HeapScheduler:
     __slots__ = ("_heap", "_cancelled", "_san")
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._cancelled = 0
         self._san: Optional[Any] = None
 
     # -- insertion -----------------------------------------------------
     def push(self, event: Event) -> None:
         event.queued = True
-        heappush(self._heap, event)
+        heappush(self._heap, (event.time, event.seq, event))
 
     def push_many(self, events: Iterable[Event]) -> None:
         """Push each event in iteration order (NAPI poll-storm batches)."""
@@ -71,13 +73,12 @@ class HeapScheduler:
         """Remove and return the next live event, or None when drained."""
         heap = self._heap
         while heap:
-            event = heappop(heap)
+            event = heappop(heap)[2]
+            event.queued = False
             if event.cancelled:
-                event.queued = False
                 self._cancelled -= 1
                 _san_discard(self._san, event, "heap.discard")
                 continue
-            event.queued = False
             return event
         return None
 
@@ -85,7 +86,7 @@ class HeapScheduler:
         """Return the next live event without removing it."""
         heap = self._heap
         while heap:
-            event = heap[0]
+            event = heap[0][2]
             if event.cancelled:
                 heappop(heap)
                 event.queued = False
@@ -106,11 +107,11 @@ class HeapScheduler:
             self._compact()
 
     def _compact(self) -> None:
-        for event in self._heap:
+        for _time, _seq, event in self._heap:
             if event.cancelled:
                 event.queued = False
                 _san_discard(self._san, event, "heap.compact")
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapify(self._heap)
         self._cancelled = 0
 

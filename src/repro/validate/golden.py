@@ -139,21 +139,15 @@ def default_golden_dir() -> Path:
     return Path.cwd() / "tests" / "goldens"
 
 
+def _udp_golden(name: str, **datapath: bool) -> Dict:
+    """A 512 B UDP flow paced at 60k pps through the given datapath."""
+    return {"name": name, "proto": "udp", "message_size": 512,
+            "rate_pps": 60_000.0, **datapath}
+
+
 GOLDEN_SCENARIOS = (
-    {
-        "name": "udp_fixed_vanilla",
-        "falcon": False,
-        "proto": "udp",
-        "message_size": 512,
-        "rate_pps": 60_000.0,
-    },
-    {
-        "name": "udp_fixed_falcon",
-        "falcon": True,
-        "proto": "udp",
-        "message_size": 512,
-        "rate_pps": 60_000.0,
-    },
+    _udp_golden("udp_fixed_vanilla", falcon=False),
+    _udp_golden("udp_fixed_falcon", falcon=True),
     {
         "name": "tcp_stream_falcon_split",
         "falcon": True,
@@ -164,22 +158,14 @@ GOLDEN_SCENARIOS = (
     },
     # The flow-cache (ONCache) datapath: paced rates so the ordering
     # gate opens and the traces actually take the fastpath stage.
-    {
-        "name": "udp_fixed_oncache",
-        "falcon": False,
-        "flowcache": True,
-        "proto": "udp",
-        "message_size": 512,
-        "rate_pps": 60_000.0,
-    },
-    {
-        "name": "udp_fixed_oncache_falcon",
-        "falcon": True,
-        "flowcache": True,
-        "proto": "udp",
-        "message_size": 512,
-        "rate_pps": 60_000.0,
-    },
+    _udp_golden("udp_fixed_oncache", falcon=False, flowcache=True),
+    _udp_golden("udp_fixed_oncache_falcon", falcon=True, flowcache=True),
+    # Split GRO in front of the cache: the only datapath whose traces
+    # take the pnic->pnic_gro, pnic_gro->fastpath and
+    # pnic_gro->hoststack_outer edges.
+    _udp_golden(
+        "udp_fixed_oncache_falcon_split", falcon=True, split_gro=True, flowcache=True
+    ),
 )
 
 

@@ -161,6 +161,23 @@ class TestEngineInstrumentation:
         assert report.ok, report.render()
         assert report.released == {"engine.fired": 1}
 
+    def test_cancel_after_run_until_balances(self):
+        # run(until) pushes the event it stopped at back into the queue:
+        # no second acquire, and the later cancel releases it once.
+        with sanitizing() as ledger:
+            sim = Simulator()
+            fired = []
+            late = sim.schedule(10.0, fired.append, "late")
+            sim.schedule(3.0, fired.append, "early")
+            sim.run(until=5.0)
+            sim.cancel(late)
+            sim.run()
+            report = ledger.report()
+        assert fired == ["early"]
+        assert report.ok, report.render()
+        assert report.acquired == {"engine.schedule": 2}
+        assert report.released == {"engine.fired": 1, "heap.discard": 1}
+
     def test_cancelled_event_released_at_discard(self):
         with sanitizing() as ledger:
             sim = Simulator()

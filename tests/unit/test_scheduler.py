@@ -124,6 +124,30 @@ def test_cancel_after_fire_is_noop():
     assert fired == ["x", "y", "z"]
 
 
+@pytest.mark.parametrize("others", [0, COMPACT_MIN_EVENTS])
+def test_cancel_event_that_run_until_stopped_at(others):
+    """``run(until)`` pops the first event past ``until`` and pushes it
+    back: it must stay cancellable and counted once, also through a
+    compaction (``others`` later events, all cancelled too)."""
+    sim = Simulator()
+    fired = []
+    head = sim.schedule(10.0, fired.append, "head")
+    rest = [sim.schedule(20.0 + i, fired.append, i) for i in range(others)]
+    sim.run(until=5.0)
+    assert sim.now == 5.0
+    assert sim.pending() == 1 + others
+    for handle in [head] + rest:
+        sim.cancel(handle)
+    # No live entries left; cancelled ones count until discarded.
+    assert sim.pending() == sim.scheduler._cancelled
+    assert sim.peek_time() is None
+    sim.run()
+    assert fired == []
+    assert sim.events_processed == 0
+    assert sim.pending() == 0
+    assert sim.scheduler._cancelled == 0
+
+
 # ----------------------------------------------------------------------
 # peek_time (lazy-pop fix)
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for sk_buff model and the cost model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.kernel.costs import (
@@ -57,6 +59,26 @@ class TestFuncCost:
     def test_linear_cost(self):
         cost = FuncCost(1.0, 0.001)
         assert cost.cost(1000) == pytest.approx(2.0)
+
+    def test_negative_fixed_rejected_at_build(self):
+        # Used to die mid-run: "cannot schedule in the past (delay=-0.0192...)".
+        with pytest.raises(ValueError, match=r"fixed=-0\.5"):
+            replace(CostModel(), softirq_switch=FuncCost(-0.5))
+
+    def test_negative_per_byte_rejected_at_build(self):
+        # Used to vanish: a stage drops every charge that is not > 0.
+        with pytest.raises(ValueError, match=r"per_byte=-1e-05"):
+            FuncCost(0.22, -0.00001)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_terms_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            FuncCost(value)
+        with pytest.raises(ValueError, match="finite"):
+            FuncCost(0.1, value)
+
+    def test_zero_terms_allowed(self):
+        assert FuncCost(0.0).cost(1500) == 0.0
 
 
 class TestCostModel:

@@ -6,12 +6,7 @@ from repro.hw.topology import Machine
 from repro.kernel.costs import CostModel, FuncCost
 from repro.kernel.skb import PROTO_TCP, FlowKey, Skb
 from repro.kernel.sockets import Socket, SocketTable
-from repro.kernel.stages import (
-    EnqueueTransition,
-    Stage,
-    Step,
-    fixed_cost,
-)
+from repro.kernel.stages import EnqueueTransition, Stage, Step
 from repro.sim.engine import Simulator
 
 
@@ -126,8 +121,8 @@ class TestStage:
             "s",
             2,
             [
-                Step("f1", fixed_cost(FuncCost(1.0))),
-                Step("f2", fixed_cost(FuncCost(2.0, 0.01))),
+                Step.simple("f1", FuncCost(1.0)),
+                Step.simple("f2", FuncCost(2.0, 0.01)),
             ],
             exit=None,
         )
@@ -138,7 +133,7 @@ class TestStage:
         assert skb.dev_ifindex == 2
 
     def test_locality_multiplier_scales_charges(self):
-        stage = Stage("s", 2, [Step("f", fixed_cost(FuncCost(2.0)))], exit=None)
+        stage = Stage("s", 2, [Step.simple("f", FuncCost(2.0))], exit=None)
         charges, _ = stage.run_item(make_skb(), 0, locality_multiplier=1.5)
         assert charges == [("f", 3.0)]
 
@@ -176,6 +171,23 @@ class TestStage:
         charges, out = stage.run_item(make_skb(size=1), 0, 1.0)
         assert out is replacement
         assert charges[1] == ("after", pytest.approx(0.999))
+
+    def test_simple_step_charges_exactly_its_func_cost(self):
+        # A simple step is charged inline, after an earlier effect
+        # replaced the packet: the same float as FuncCost.cost * multiplier.
+        cost = FuncCost(0.22, 0.00001)
+        replacement = make_skb(size=1437)
+        step = Step.simple("vxlan_rcv", cost)
+        stage = Stage(
+            "s",
+            2,
+            [Step("swap", lambda skb: 0.0, lambda skb, cpu: replacement), step],
+            exit=None,
+        )
+        charges, out = stage.run_item(make_skb(size=3), 0, 1.37)
+        assert out is replacement
+        assert charges == [("vxlan_rcv", cost.cost(1437) * 1.37)]
+        assert step.cost(replacement) == cost.cost(1437)
 
     def test_enqueue_transition_uses_selector(self):
         routed = []
