@@ -35,9 +35,6 @@ class SplitSpec:
     #: The step before which ``netif_rx`` is inserted; everything from
     #: this step on runs as a separate softirq.
     before_step: str
-    #: A synthetic device index for the second half, so the Falcon hash
-    #: assigns it its own core (distinct from the first half's).
-    ifindex_offset: int = 1000
 
 
 #: The paper's shipped split: offload GRO from the physical NIC's stage.

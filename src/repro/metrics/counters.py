@@ -26,8 +26,6 @@ RES = "RES"
 CAL = "CAL"
 TIMER = "TIMER"
 
-KNOWN_KINDS = (HARDIRQ, NET_RX, NET_TX, RES, CAL, TIMER)
-
 
 class InterruptCounters:
     """Per-CPU and global interrupt counters."""

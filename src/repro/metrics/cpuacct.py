@@ -17,8 +17,6 @@ HARDIRQ = 0
 SOFTIRQ = 1
 USER = 2
 
-CONTEXT_NAMES = {HARDIRQ: "hardirq", SOFTIRQ: "softirq", USER: "user"}
-
 
 class CpuAccounting:
     """Accumulates busy microseconds keyed by (cpu, context, label).

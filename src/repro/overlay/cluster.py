@@ -25,8 +25,9 @@ single-host :class:`~repro.workloads.sockperf.Testbed`:
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FalconConfig, FlowCacheConfig
@@ -73,7 +74,7 @@ def container_ip(host: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Specification (wire-friendly: everything round-trips through tuples)
+# Specification (frozen dataclasses: pickled as is to spawn workers)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ClusterFlow:
@@ -87,24 +88,10 @@ class ClusterFlow:
     rate_pps: Optional[float] = None
     window_msgs: int = 16
 
-    def to_wire(self) -> Tuple[Any, ...]:
-        return (
-            self.kind,
-            self.src,
-            self.dst,
-            self.message_size,
-            self.rate_pps,
-            self.window_msgs,
-        )
-
-    @classmethod
-    def from_wire(cls, wire: Tuple[Any, ...]) -> "ClusterFlow":
-        return cls(*wire)
-
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """A cluster scenario, restricted to primitives so it crosses pipes."""
+    """A cluster scenario; frozen, so it pickles to spawn workers as is."""
 
     num_hosts: int
     flows: Tuple[ClusterFlow, ...]
@@ -154,29 +141,6 @@ class ClusterSpec:
     @property
     def end_us(self) -> float:
         return self.warmup_us + self.duration_us
-
-    def to_wire(self) -> Tuple[Any, ...]:
-        return (
-            self.num_hosts,
-            tuple(flow.to_wire() for flow in self.flows),
-            self.seed,
-            self.falcon,
-            self.bandwidth_gbps,
-            self.propagation_us,
-            self.warmup_us,
-            self.duration_us,
-            self.trace,
-            self.flowcache,
-            self.flowcache_capacity,
-            tuple(tuple(entry) for entry in self.churn),
-        )
-
-    @classmethod
-    def from_wire(cls, wire: Tuple[Any, ...]) -> "ClusterSpec":
-        fields = list(wire)
-        fields[1] = tuple(ClusterFlow.from_wire(f) for f in fields[1])
-        fields[-1] = tuple(tuple(entry) for entry in fields[-1])
-        return cls(*fields)
 
 
 def udp_ring_spec(
@@ -281,16 +245,13 @@ class _HostOutbox:
     are grouped into shards.
     """
 
-    def __init__(self, host_index: int) -> None:
+    def __init__(self, host_index: int, san: Optional[Any]) -> None:
         self.host_index = host_index
         self._seq = 0
         self.pending: List[CrossShardEvent] = []
-        #: Ownership ledger hook (REPRO_SANITIZE=1); None in normal runs.
-        self._san: Optional[Any] = None
-        if os.environ.get("REPRO_SANITIZE"):
-            from repro.validate.sanitize import current_ledger
-
-            self._san = current_ledger()
+        #: The world's ownership ledger (REPRO_SANITIZE=1); None in
+        #: normal runs.
+        self._san = san
 
     def emit(self, time: float, kind: str, dst: int, payload: Tuple[Any, ...]) -> None:
         self.pending.append(
@@ -307,38 +268,31 @@ class _HostOutbox:
         return records
 
 
-class ClusterUdpSender(UdpSender):
+class _RecordPathSender:
+    """Sender mixin whose frames leave through the cross-shard record path."""
+
+    link: Link
+
+    def __init__(self, *args: Any, outbox: _HostOutbox, flow_index: int,
+                 dst_host: int, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.outbox = outbox
+        self.flow_index = flow_index
+        self.dst_host = dst_host
+
+    def _transmit(self, skb: Skb) -> None:
+        arrival = self.link.reserve(skb.wire_size)
+        self.outbox.emit(
+            arrival, RECORD_SKB, self.dst_host, encode_skb(self.flow_index, skb)
+        )
+
+
+class ClusterUdpSender(_RecordPathSender, UdpSender):
     """UDP sender whose frames leave through the cross-shard record path."""
 
-    def __init__(self, *args: Any, outbox: _HostOutbox, flow_index: int,
-                 dst_host: int, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.outbox = outbox
-        self.flow_index = flow_index
-        self.dst_host = dst_host
 
-    def _transmit(self, skb: Skb) -> None:
-        arrival = self.link.reserve(skb.wire_size)
-        self.outbox.emit(
-            arrival, RECORD_SKB, self.dst_host, encode_skb(self.flow_index, skb)
-        )
-
-
-class ClusterTcpSender(TcpSender):
+class ClusterTcpSender(_RecordPathSender, TcpSender):
     """TCP sender driven by credit records instead of a local callback."""
-
-    def __init__(self, *args: Any, outbox: _HostOutbox, flow_index: int,
-                 dst_host: int, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.outbox = outbox
-        self.flow_index = flow_index
-        self.dst_host = dst_host
-
-    def _transmit(self, skb: Skb) -> None:
-        arrival = self.link.reserve(skb.wire_size)
-        self.outbox.emit(
-            arrival, RECORD_SKB, self.dst_host, encode_skb(self.flow_index, skb)
-        )
 
     def remote_credit(self) -> None:
         """A credit record arrived — the ACK's flight time is already in
@@ -356,7 +310,9 @@ class ClusterTcpSender(TcpSender):
 class _ClusterHost:
     """One host's world: stack, measurement window, senders, codecs."""
 
-    def __init__(self, sim: Simulator, spec: ClusterSpec, index: int) -> None:
+    def __init__(
+        self, sim: Simulator, spec: ClusterSpec, index: int, san: Optional[Any]
+    ) -> None:
         self.index = index
         falcon = FalconConfig() if spec.falcon else None
         flowcache = (
@@ -377,7 +333,7 @@ class _ClusterHost:
         self.network = OverlayNetwork(name=f"overlay/host{index}")
         self.container = self.host.launch_container("server")
         self.network.join(self.container)
-        self.outbox = _HostOutbox(index)
+        self.outbox = _HostOutbox(index, san)
         self.uplink = Link(sim, spec.bandwidth_gbps, spec.propagation_us)
         self.window = MeasurementWindow(self.host.machine, self.host.stack)
         self.tracer: Optional[PacketTracer] = None
@@ -471,7 +427,7 @@ class ClusterWorld:
             self._san = current_ledger()
         self._hosts = tuple(hosts)
         self.by_index: Dict[int, _ClusterHost] = {
-            h: _ClusterHost(self.sim, spec, h) for h in self._hosts
+            h: _ClusterHost(self.sim, spec, h, self._san) for h in self._hosts
         }
         for flow_index, flow in enumerate(spec.flows):
             if flow.dst in self.by_index:
@@ -598,16 +554,10 @@ class ClusterWorld:
     def next_time(self) -> Optional[float]:
         return self.sim.peek_time()
 
-    def advance(self, bound: float, inclusive: bool = False) -> List[CrossShardEvent]:
-        sim = self.sim
-        if inclusive:
-            sim.run(until=bound)
-        else:
-            while True:
-                t = sim.peek_time()
-                if t is None or t >= bound:
-                    break
-                sim.run(until=t)
+    def advance(self, bound: float) -> List[CrossShardEvent]:
+        # The float just below ``bound`` admits exactly the events with
+        # time < bound, same-time events that callbacks post included.
+        self.sim.run(until=math.nextafter(bound, -math.inf))
         produced: List[CrossShardEvent] = []
         for h in self._hosts:
             produced.extend(self.by_index[h].outbox.drain())
@@ -670,13 +620,6 @@ class ClusterWorld:
             "hosts": [self.by_index[h].result() for h in self._hosts],
             "events_processed": self.sim.events_processed,
         }
-
-
-def build_shard_world(
-    spec_wire: Tuple[Any, ...], hosts: Tuple[int, ...]
-) -> ClusterWorld:
-    """Builder resolved inside spawn workers (see shard.transport)."""
-    return ClusterWorld(ClusterSpec.from_wire(spec_wire), hosts)
 
 
 # ----------------------------------------------------------------------
@@ -781,8 +724,8 @@ def run_cluster(
                 ProcessShardHandle(
                     slot,
                     group,
-                    "repro.overlay.cluster:build_shard_world",
-                    (spec.to_wire(), group),
+                    "repro.overlay.cluster:ClusterWorld",
+                    (spec, group),
                     timeout_s=timeout_s or DEFAULT_STEP_TIMEOUT_S,
                     fault=(faults or {}).get(slot),
                 )
@@ -820,7 +763,7 @@ def run_cluster(
                 "num_hosts": spec.num_hosts,
                 "seed": spec.seed,
                 "falcon": spec.falcon,
-                "flows": [list(flow.to_wire()) for flow in spec.flows],
+                "flows": [list(astuple(flow)) for flow in spec.flows],
                 "warmup_us": spec.warmup_us,
                 "duration_us": spec.duration_us,
                 # Only stamped when the cache datapath is on, so the

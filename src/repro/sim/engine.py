@@ -52,7 +52,6 @@ class Simulator:
         self.now: float = 0.0
         self._scheduler = HeapScheduler()
         self._seq: int = 0
-        self._halted: bool = False
         self.events_processed: int = 0
         #: Ownership ledger hook (REPRO_SANITIZE=1). None in normal runs:
         #: every instrumented site pays one ``is None`` check and nothing
@@ -145,24 +144,17 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
+    def run(self, until: Optional[float] = None) -> None:
         """Process events in time order.
 
         Args:
             until: stop once the clock would pass this timestamp. Events at
                 exactly ``until`` are still processed; the clock is left at
                 ``until`` if the queue ran dry earlier.
-            max_events: safety valve — stop after this many events.
         """
-        if self._halted:
-            raise SimulationError("simulator has been halted")
         processed = 0
         scheduler = self._scheduler
-        while max_events is None or processed < max_events:
+        while True:
             event = scheduler.pop()
             if event is None:
                 break
@@ -181,19 +173,9 @@ class Simulator:
                 processed += 1
                 if self._san is not None:
                     self._san.release("event", id(event), "engine.fired")
-            if self._halted:
-                break
         self.events_processed += processed
-        if until is not None and self.now < until and not self._halted:
+        if until is not None and self.now < until:
             self.now = until
-
-    def halt(self) -> None:
-        """Stop the current :meth:`run` after the in-flight event returns."""
-        self._halted = True
-
-    def resume(self) -> None:
-        """Clear a previous :meth:`halt` so that :meth:`run` works again."""
-        self._halted = False
 
     # ------------------------------------------------------------------
     # Introspection

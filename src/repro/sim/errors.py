@@ -8,8 +8,7 @@ class ReproError(Exception):
 class SimulationError(ReproError):
     """Raised when the simulator is used incorrectly.
 
-    Examples: scheduling an event in the past, or running a simulator
-    that has been explicitly halted.
+    Example: scheduling an event in the past.
     """
 
 

@@ -10,7 +10,9 @@ null-message/window-barrier family of parallel DES):
    lookahead``, where the lookahead is the minimum simulated latency any
    shard-crossing interaction needs (see :mod:`repro.hw.lookahead`);
 3. every shard processes all events strictly below ``window_end``
-   concurrently, collecting the cross-shard records it produced;
+   concurrently, collecting the cross-shard records it produced (this
+   is the only step rule: the final step to ``until`` is one more such
+   step);
 4. the records are routed and merged into their destination shards in
    ``(time, src, seq)`` order before the next window opens.
 
@@ -18,8 +20,9 @@ Why this is safe: an event executed inside a window has time ``t >=
 min(next)``, so anything it emits for another shard arrives at ``t +
 latency >= min(next) + lookahead = window_end`` — never inside the
 window that produced it. The coordinator *checks* that bound on every
-record and raises :class:`~repro.sim.errors.ShardError` on a violation
-(a misdeclared lookahead would otherwise silently corrupt causality).
+record of every step, the final one included, and raises
+:class:`~repro.sim.errors.ShardError` on a violation (a misdeclared
+lookahead would otherwise silently corrupt causality).
 The same bound is enforced *statically* by ``repro check`` (ORD511):
 every ``emit`` timestamp must be provably ``now + propagation``-shaped,
 so a violation is caught at review time for every partition — not just
@@ -47,9 +50,9 @@ class ShardProgram(Protocol):
         """Timestamp of the earliest pending event, or None when idle."""
         ...
 
-    def advance(self, bound: float, inclusive: bool = False) -> List[CrossShardEvent]:
-        """Process events with time < ``bound`` (<= when ``inclusive``);
-        return the cross-shard records produced."""
+    def advance(self, bound: float) -> List[CrossShardEvent]:
+        """Process every event with time < ``bound``; return the
+        cross-shard records produced."""
         ...
 
     def inject(self, records: Sequence[CrossShardEvent]) -> None:
@@ -70,12 +73,7 @@ class ShardHandle(Protocol):
 
     index: int
 
-    def begin_step(
-        self,
-        bound: float,
-        inclusive: bool,
-        records: Sequence[CrossShardEvent],
-    ) -> None:
+    def begin_step(self, bound: float, records: Sequence[CrossShardEvent]) -> None:
         """Issue one window step (inject ``records``, then advance)."""
         ...
 
@@ -107,14 +105,9 @@ class InlineShardHandle:
         self._program = program
         self._reply: Optional[Tuple[Optional[float], List[CrossShardEvent]]] = None
 
-    def begin_step(
-        self,
-        bound: float,
-        inclusive: bool,
-        records: Sequence[CrossShardEvent],
-    ) -> None:
+    def begin_step(self, bound: float, records: Sequence[CrossShardEvent]) -> None:
         self._program.inject(records)
-        produced = self._program.advance(bound, inclusive)
+        produced = self._program.advance(bound)
         self._reply = (self._program.next_time(), produced)
 
     def finish_step(self) -> Tuple[Optional[float], List[CrossShardEvent]]:
@@ -174,13 +167,13 @@ class ShardCoordinator:
         self._record_windows = record_windows
 
     # ------------------------------------------------------------------
-    def _step_all(self, bound: float, inclusive: bool) -> None:
+    def _step_all(self, bound: float) -> None:
         """One barrier: deliver inboxes, advance every shard, route."""
         # Issue the step to every shard before collecting any reply —
         # with the process transport this is what makes shards actually
         # run concurrently.
         for slot, handle in enumerate(self.handles):
-            handle.begin_step(bound, inclusive, self._inbox[slot])
+            handle.begin_step(bound, self._inbox[slot])
             self._inbox[slot] = []
         produced: List[CrossShardEvent] = []
         for slot, handle in enumerate(self.handles):
@@ -190,7 +183,7 @@ class ShardCoordinator:
         routed: List[Tuple[float, int, int]] = []
         if produced:
             for record in produced:
-                if not inclusive and record.time < bound:
+                if record.time < bound:
                     raise ShardError(
                         f"causality violation: shard of host {record.src} "
                         f"produced a record at t={record.time} inside the "
@@ -236,19 +229,19 @@ class ShardCoordinator:
         """
         if not self._primed:
             # Zero-width priming step: delivers nothing, processes
-            # nothing (bound 0.0 is exclusive), reports initial clocks.
-            self._step_all(0.0, False)
+            # nothing (no event lies before 0.0), reports initial clocks.
+            self._step_all(0.0)
             self._primed = True
         while True:
             t_min = self._global_next()
             if t_min is None or t_min > until:
                 break
-            self._step_all(t_min + self.lookahead_us, False)
+            self._step_all(t_min + self.lookahead_us)
             self.windows_run += 1
-        # Final inclusive step: deliver any still-undelivered records
-        # (they all lie beyond ``until``) and let every clock reach
-        # ``until`` so a subsequent run() continues cleanly.
-        self._step_all(until, True)
+        # Final step: every event <= ``until`` already ran inside the
+        # last window, so this only delivers the still-undelivered
+        # records (they all lie beyond ``until``).
+        self._step_all(until)
 
     # ------------------------------------------------------------------
     def finalize(self) -> List[Dict[str, Any]]:

@@ -17,9 +17,9 @@ reviewed where the rule is defined and the baselines stay empty.
 
 Protocol (coordinator → worker):
 
-- ``("step", bound, inclusive, wire_records)`` → ``("ok", next_time,
-  out_wire_records)``: inject the records, advance to the bound, report
-  the new earliest pending time and whatever crossed out.
+- ``("step", bound, wire_records)`` → ``("ok", next_time,
+  out_wire_records)``: inject the records, run every event before the
+  bound, report the new earliest pending time and whatever crossed out.
 - ``("finalize",)`` → ``("ok", result_dict)``: collect results.
 - ``("close",)``: exit the command loop (no reply).
 
@@ -30,9 +30,10 @@ every wait on the pipe is bounded by ``conn.poll(timeout)``.
 
 Workers are *spawned* (not forked) so each starts from a clean
 interpreter: shard programs are rebuilt inside the worker from a
-``"module:function"`` builder reference plus primitive arguments, which
-keeps the parent's state (RNG counters, flow-id counters, monkeypatches)
-from leaking into any shard.
+``"module:callable"`` builder reference plus picklable arguments (the
+cluster passes its frozen spec as is), which keeps the parent's state
+(RNG counters, flow-id counters, monkeypatches) from leaking into any
+shard. Records still cross the pipe as validated wire tuples.
 
 Fault injection
 ---------------
@@ -65,7 +66,7 @@ FaultSpec = Tuple[str, int]
 
 
 def resolve_builder(ref: str) -> Any:
-    """Resolve a ``"module:function"`` reference to the callable."""
+    """Resolve a ``"module:callable"`` reference to the callable."""
     module_name, _, attr = ref.partition(":")
     if not module_name or not attr:
         raise ShardError(f"invalid shard builder reference {ref!r}")
@@ -103,7 +104,7 @@ def _shard_worker_main(
         if command != "step":
             conn.send(("error", f"shard {index}: unknown command {command!r}"))
             continue
-        _, bound, inclusive, wire_records = request
+        _, bound, wire_records = request
         steps += 1
         if fault is not None and steps >= fault[1]:
             mode = fault[0]
@@ -117,7 +118,7 @@ def _shard_worker_main(
         try:
             records = [CrossShardEvent.from_wire(wire) for wire in wire_records]
             program.inject(records)
-            produced = program.advance(bound, inclusive)
+            produced = program.advance(bound)
             reply_records = [record.to_wire() for record in produced]
             conn.send(("ok", program.next_time(), reply_records))
         except Exception as exc:
@@ -188,15 +189,10 @@ class ProcessShardHandle:
             raise ShardError(str(reply[1]))
         return tuple(reply)
 
-    def begin_step(
-        self,
-        bound: float,
-        inclusive: bool,
-        records: Sequence[CrossShardEvent],
-    ) -> None:
+    def begin_step(self, bound: float, records: Sequence[CrossShardEvent]) -> None:
         wire = [record.to_wire() for record in records]
         try:
-            self._conn.send(("step", bound, inclusive, wire))
+            self._conn.send(("step", bound, wire))
         except (BrokenPipeError, OSError) as exc:
             exitcode = self._proc.exitcode
             self._shutdown()

@@ -113,7 +113,7 @@ def test_worker_build_failure_surfaces_at_startup():
         ProcessShardHandle(
             index=0,
             hosts=(0,),
-            builder_ref="repro.overlay.cluster:build_shard_world",
+            builder_ref="repro.overlay.cluster:ClusterWorld",
             builder_args=(("definitely", "not", "a", "spec"), (0,)),
             timeout_s=20.0,
         )

@@ -12,6 +12,7 @@ Two families:
   one shard delivers, in the same order.
 """
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -115,15 +116,8 @@ class PingProgram:
     def next_time(self):
         return self._sim.peek_time()
 
-    def advance(self, bound, inclusive=False):
-        if inclusive:
-            self._sim.run(until=bound)
-        else:
-            while True:
-                t = self._sim.peek_time()
-                if t is None or t >= bound:
-                    break
-                self._sim.run(until=t)
+    def advance(self, bound):
+        self._sim.run(until=math.nextafter(bound, -math.inf))
         out, self._out = self._out, []
         return out
 
@@ -190,8 +184,8 @@ def test_records_never_undercut_their_barrier(setup, shards):
                 f"record at t={time} undercuts its window barrier "
                 f"t={window_end}"
             )
-    # Barriers themselves advance monotonically (final inclusive step
-    # excepted — it closes at `until`, inside the last lookahead).
+    # Barriers themselves advance monotonically (the final step excepted
+    # — it closes at `until`, inside the last lookahead).
     ends = [end for end, _ in coordinator.window_log[:-1]]
     assert ends == sorted(ends)
 

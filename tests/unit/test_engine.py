@@ -82,28 +82,6 @@ def test_schedule_at_in_past_rejected():
         sim.schedule_at(1.0, lambda: None)
 
 
-def test_halt_stops_run():
-    sim = Simulator()
-    hits = []
-    sim.schedule(1.0, hits.append, "a")
-    sim.schedule(2.0, sim.halt)
-    sim.schedule(3.0, hits.append, "b")
-    sim.run()
-    assert hits == ["a"]
-    sim.resume()
-    sim.run()
-    assert hits == ["a", "b"]
-
-
-def test_max_events_bound():
-    sim = Simulator()
-    hits = []
-    for i in range(10):
-        sim.schedule(float(i + 1), hits.append, i)
-    sim.run(max_events=3)
-    assert hits == [0, 1, 2]
-
-
 def test_events_processed_counter():
     sim = Simulator()
     for i in range(5):

@@ -1,6 +1,6 @@
 """Compaction vs the shard window loop: peek, inject, cancel, advance.
 
-The shard advance loop leaves a ``peek_time`` probe outstanding while
+The shard step leaves a ``peek_time`` probe outstanding while
 the coordinator computes the barrier, then injects cross-shard records
 (``post_at``) that can land *earlier* than the peeked event, then runs
 to the bound — and any event fired inside the window may cancel timers
@@ -14,6 +14,8 @@ that the combination cannot reorder or drop pending injections:
 * at the coordinator level, a cancel-churn workload compacting mid-
   window must stay partition-invariant.
 """
+
+import math
 
 import repro.sim.scheduler as scheduler_module
 from repro.sim.engine import Simulator
@@ -146,15 +148,8 @@ class ChurnProgram:
     def next_time(self):
         return self._sim.peek_time()
 
-    def advance(self, bound, inclusive=False):
-        if inclusive:
-            self._sim.run(until=bound)
-        else:
-            while True:
-                t = self._sim.peek_time()
-                if t is None or t >= bound:
-                    break
-                self._sim.run(until=t)
+    def advance(self, bound):
+        self._sim.run(until=math.nextafter(bound, -math.inf))
         out, self._out = self._out, []
         return out
 
